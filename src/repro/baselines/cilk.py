@@ -54,6 +54,9 @@ def simulate_work_stealing(
     for v in dag.topological_order():
         if remaining_parents[v] == 0:
             stacks[0].append(v)
+    # Tasks on all stacks together: an idle processor with none to take or
+    # steal returns at once instead of scanning P stacks for a victim.
+    ready = len(stacks[0])
 
     # (finish_time, sequence, node, processor) events; sequence breaks ties
     # deterministically.
@@ -62,30 +65,28 @@ def simulate_work_stealing(
     busy = [False] * P
     scheduled = 0
 
-    def try_assign(p: int, now: float) -> bool:
-        nonlocal seq, scheduled
-        node: Optional[int] = None
+    def try_assign(p: int, now: float) -> None:
+        nonlocal seq, scheduled, ready
+        if ready == 0:
+            return
         if stacks[p]:
             node = stacks[p].pop()  # own stack: take the top (LIFO)
         else:
+            # ready > 0, so some other stack is non-empty.
             candidates = [q for q in range(P) if q != p and stacks[q]]
-            if candidates:
-                victim = int(rng.choice(candidates))
-                node = stacks[victim].popleft()  # steal from the bottom (FIFO)
-        if node is None:
-            return False
+            victim = int(rng.choice(candidates))
+            node = stacks[victim].popleft()  # steal from the bottom (FIFO)
+        ready -= 1
         proc[node] = p
         start[node] = now
         busy[p] = True
         seq += 1
         scheduled += 1
         heapq.heappush(events, (now + float(dag.work[node]), seq, node, p))
-        return True
 
     # Kick off: all processors try to grab work at time 0.
     for p in range(P):
-        while not busy[p] and try_assign(p, 0.0):
-            break
+        try_assign(p, 0.0)
 
     while events:
         time, _, node, p = heapq.heappop(events)
@@ -96,6 +97,7 @@ def simulate_work_stealing(
             remaining_parents[child] -= 1
             if remaining_parents[child] == 0:
                 stacks[p].append(child)
+                ready += 1
         # Give work to every idle processor (the finisher first, so locally
         # spawned children tend to stay local like in Cilk).
         for q in [p] + [q for q in range(P) if q != p]:

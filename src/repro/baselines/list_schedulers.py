@@ -24,13 +24,11 @@ and stored in a dense ``(ready, P)`` pool, and each iteration's full EST
 table is a single ``np.maximum(arrival_pool, proc_ready)`` instead of
 ``|ready| * P`` python-level predecessor scans.  Selection keys are total
 orders evaluated with exact float comparisons, so the vectorized scheduler
-is tie-for-tie identical to the reference loop
-(:func:`_list_schedule_reference`, kept for the equivalence tests).
+is tie-for-tie identical to the straight-line reference loop kept in
+``tests/test_list_scheduler_equivalence.py``.
 """
 
 from __future__ import annotations
-
-from typing import List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -209,93 +207,6 @@ def list_schedule(
             remaining_parents[child] -= 1
             if remaining_parents[child] == 0:
                 push_ready(child)
-
-    return ClassicalSchedule(dag, machine, proc, start)
-
-
-def _list_schedule_reference(
-    dag: ComputationalDAG,
-    machine: BspMachine,
-    policy: str = "bl-est",
-    *,
-    respect_memory: bool = False,
-    prefer_memory_balance: bool = False,
-) -> ClassicalSchedule:
-    """Straight-line reference implementation of :func:`list_schedule`.
-
-    One python-level EST evaluation per (ready node, processor) pair, exactly
-    as the policies are specified.  Kept as the oracle for the equivalence
-    tests; :func:`list_schedule` must match it schedule-for-schedule.
-    """
-    if policy not in ("bl-est", "etf"):
-        raise ValueError("policy must be 'bl-est' or 'etf'")
-    n = dag.n
-    P = machine.P
-    proc = np.zeros(n, dtype=np.int64)
-    start = np.zeros(n, dtype=np.float64)
-    if n == 0:
-        return ClassicalSchedule(dag, machine, proc, start)
-
-    bounds = machine.memory_bounds if respect_memory else None
-    remaining = bounds.astype(np.float64).copy() if bounds is not None else None
-    memory = np.asarray(dag.memory, dtype=np.float64)
-
-    delay = _comm_delay_factor(machine)
-    bottom = dag.bottom_level()
-    finish = np.zeros(n, dtype=np.float64)
-    proc_ready = np.zeros(P, dtype=np.float64)
-    remaining_parents = np.diff(dag.pred_indptr).copy()
-    ready: Set[int] = set(np.nonzero(remaining_parents == 0)[0].tolist())
-    comm = np.asarray(dag.comm, dtype=np.float64)
-
-    def est(v: int, p: int) -> float:
-        t = float(proc_ready[p])
-        parents = dag.predecessors_array(v)
-        if parents.size:
-            arrive = finish[parents] + np.where(proc[parents] == p, 0.0, delay * comm[parents])
-            t = max(t, float(arrive.max()))
-        return t
-
-    def feasible_processors(v: int) -> List[int]:
-        if remaining is None:
-            return list(range(P))
-        fits = [p for p in range(P) if memory[v] <= remaining[p] + _EPS]
-        if not fits:
-            raise _no_memory_fit(v, memory[v], remaining)
-        return fits
-
-    for _ in range(n):
-        if not ready:
-            raise RuntimeError("list scheduler ran out of ready nodes prematurely")
-        if policy == "bl-est":
-            v = max(ready, key=lambda x: (bottom[x], -x))
-            fits = feasible_processors(v)
-            if prefer_memory_balance and remaining is not None:
-                best_p = min(fits, key=lambda p: (-remaining[p], est(v, p), p))
-            else:
-                best_p = min(fits, key=lambda p: (est(v, p), p))
-            best_t = est(v, best_p)
-        else:  # ETF
-            best: Optional[Tuple[float, float, int, int]] = None
-            for v_cand in ready:
-                for p in feasible_processors(v_cand):
-                    t = est(v_cand, p)
-                    key = (t, -float(bottom[v_cand]), v_cand, p)
-                    if best is None or key < best:
-                        best = key
-            assert best is not None
-            best_t, _, v, best_p = best
-        ready.discard(v)
-        proc[v] = best_p
-        start[v] = best_t
-        finish[v] = best_t + float(dag.work[v])
-        proc_ready[best_p] = finish[v]
-        if remaining is not None:
-            remaining[best_p] -= memory[v]
-        for child in dag.children(v):
-            remaining_parents[child] -= 1
-            if remaining_parents[child] == 0:
-                ready.add(child)
 
     return ClassicalSchedule(dag, machine, proc, start)
 
