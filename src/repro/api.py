@@ -257,9 +257,10 @@ def _solve_many_queued(
 
     queue = DirectoryQueue(queue_dir)
     ids = queue.enqueue(requests)
-    outcome: dict = {}
+    answered: dict = {}
+    failures: dict = {}
     deadline = None if timeout is None else time.monotonic() + timeout
-    while len(outcome) < len(ids):
+    while len(answered) + len(failures) < len(ids):
         envelope = queue.claim_next()
         if envelope is not None:
             try:
@@ -268,34 +269,24 @@ def _solve_many_queued(
                 queue.retry_or_fail(envelope, f"{type(exc).__name__}: {exc}")
             else:
                 queue.complete(envelope, result)
-        progressed = False
-        for index, task_id in enumerate(ids):
-            if index in outcome:
-                continue
-            result = queue.load_result(task_id)
-            if result is not None:
-                outcome[index] = result
-                progressed = True
-                continue
-            error = queue.load_failure(task_id)
-            if error is not None:
-                if not tolerant:
-                    raise QueueError(f"request {index + 1} dead-lettered: {error}")
-                outcome[index] = broken_request_result(
-                    requests[index], RuntimeError(error)
-                )
-                progressed = True
-        if len(outcome) >= len(ids):
+        progressed = queue.poll_answers(ids, answered, failures)
+        if failures and not tolerant:
+            index = next(k for k, task_id in enumerate(ids) if task_id in failures)
+            raise QueueError(f"request {index + 1} dead-lettered: {failures[ids[index]]}")
+        if len(answered) + len(failures) >= len(ids):
             break
         if envelope is None and not progressed:
             if deadline is not None and time.monotonic() > deadline:
-                unanswered = [i + 1 for i in range(len(ids)) if i not in outcome]
+                unanswered = [k + 1 for k, t in enumerate(ids) if t not in answered and t not in failures]
                 raise QueueError(
                     f"queued batch timed out after {timeout}s; "
                     f"unanswered request(s): {unanswered[:10]}"
                 )
             time.sleep(poll_interval)
-    results = [outcome[index] for index in range(len(ids))]
+    results = [
+        answered[t] if t in answered else broken_request_result(r, RuntimeError(failures[t]))
+        for r, t in zip(requests, ids)
+    ]
     if not tolerant:
         for index, result in enumerate(results):
             if not result.valid:

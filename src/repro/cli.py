@@ -142,6 +142,12 @@ Examples::
     python -m repro check --format json --rules determinism,lock-discipline
     python -m repro --version
 
+Each subcommand is declared exactly once, in :func:`build_parser`: its
+subparser carries its handler (``set_defaults(run=...)``), and :func:`main`
+parses, opens the ``--trace`` scope named after the command, and runs the
+handler.  ``check`` keeps only a bare entry there: its options belong to
+:mod:`repro.checks.runner`, which receives the raw arguments.
+
 The inventory above is doctested against the parser itself, so this
 docstring cannot drift silently when a subcommand is added::
 
@@ -173,8 +179,9 @@ import argparse
 import contextlib
 import json
 import sys
-from typing import Iterator, List, Optional, Sequence
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
+from .experiments.runner import REQUEST_BUILD_FAILURES
 from .graphs.analysis import dag_statistics
 from .graphs.coarse import COARSE_GRAINED_GENERATORS, generate_coarse_grained
 from .graphs.dag import ComputationalDAG
@@ -182,21 +189,63 @@ from .graphs.fine import FINE_GRAINED_GENERATORS, generate_fine_grained
 from .graphs.hyperdag import read_hyperdag, write_hyperdag
 from .model.inspect import describe_schedule, schedule_to_text_gantt
 from .model.machine import BspMachine
-from .registry import available_schedulers, split_scheduler_list
+from .registry import (
+    available_schedulers,
+    canonical_scheduler_spec,
+    make_scheduler,
+    split_scheduler_list,
+)
 from .spec import ProblemSpec, SolveRequest, SpecError
 
 __all__ = ["main", "build_parser", "subcommands"]
+
+_T = TypeVar("_T")
 
 
 # ----------------------------------------------------------------------
 # Helpers
 # ----------------------------------------------------------------------
-def _load_or_generate_dag(args: argparse.Namespace) -> ComputationalDAG:
+def _or_exit(build: Callable[..., _T], *args: Any, **kwargs: Any) -> _T:
+    """``build(*args, **kwargs)``, turning a bad-input failure (the same
+    ``ValueError``/``OSError`` family a batch folds into an invalid result)
+    into a one-line ``SystemExit`` instead of a traceback."""
+    try:
+        return build(*args, **kwargs)
+    except REQUEST_BUILD_FAILURES as exc:
+        raise SystemExit(str(exc)) from exc
+
+
+def _load_dag(args: argparse.Namespace) -> ComputationalDAG:
+    """The DAG a command names: a hyperDAG file, else a ``--kind`` generator."""
     if getattr(args, "dag_file", None):
-        return read_hyperdag(args.dag_file)
-    if not getattr(args, "kind", None):
+        return _or_exit(read_hyperdag, args.dag_file)
+    if not args.kind:
         raise SystemExit("either a hyperDAG file, --kind, or --spec must be given")
-    return _generate(args.kind, args.size, args.iterations, args.density, args.seed)
+    if args.kind in FINE_GRAINED_GENERATORS:
+        kwargs = {"n": args.size, "q": args.density, "seed": args.seed}
+        if args.kind != "spmv":
+            kwargs["k"] = args.iterations
+        return _or_exit(generate_fine_grained, args.kind, **kwargs)
+    if args.kind in COARSE_GRAINED_GENERATORS:
+        return _or_exit(generate_coarse_grained, args.kind, iterations=args.iterations)
+    raise SystemExit(
+        f"unknown DAG kind {args.kind!r}; fine-grained: {sorted(FINE_GRAINED_GENERATORS)}, "
+        f"coarse-grained: {sorted(COARSE_GRAINED_GENERATORS)}"
+    )
+
+
+def _load_problem(
+    args: argparse.Namespace,
+) -> Tuple[ComputationalDAG, BspMachine, Optional[SolveRequest]]:
+    """The instance of ``schedule``/``portfolio-explain``: a ``--spec`` file,
+    or a DAG plus the machine flags.  The third item is the SolveRequest when
+    the ``--spec`` file holds one."""
+    if not args.spec:
+        return _load_dag(args), _or_exit(_build_machine, args), None
+    loaded = _load_spec_file(args.spec)
+    request = loaded if isinstance(loaded, SolveRequest) else None
+    problem = loaded.spec if isinstance(loaded, SolveRequest) else loaded
+    return _or_exit(problem.build_dag), _or_exit(problem.build_machine), request
 
 
 def _load_spec_file(path: str) -> "SolveRequest | ProblemSpec":
@@ -214,20 +263,6 @@ def _load_spec_file(path: str) -> "SolveRequest | ProblemSpec":
         raise SystemExit(f"invalid spec file {path!r}: {exc}") from exc
 
 
-def _generate(kind: str, size: int, iterations: int, density: float, seed: int) -> ComputationalDAG:
-    if kind in FINE_GRAINED_GENERATORS:
-        kwargs = {"n": size, "q": density, "seed": seed}
-        if kind != "spmv":
-            kwargs["k"] = iterations
-        return generate_fine_grained(kind, **kwargs)
-    if kind in COARSE_GRAINED_GENERATORS:
-        return generate_coarse_grained(kind, iterations=iterations)
-    raise SystemExit(
-        f"unknown DAG kind {kind!r}; fine-grained: {sorted(FINE_GRAINED_GENERATORS)}, "
-        f"coarse-grained: {sorted(COARSE_GRAINED_GENERATORS)}"
-    )
-
-
 def _build_machine(args: argparse.Namespace) -> BspMachine:
     if args.delta is not None:
         machine = BspMachine.hierarchical(
@@ -235,12 +270,15 @@ def _build_machine(args: argparse.Namespace) -> BspMachine:
         )
     else:
         machine = BspMachine(P=args.processors, g=args.g, l=args.latency)
-    if getattr(args, "memory_bound", None) is not None:
+    if args.memory_bound is not None:
         machine = machine.with_memory_bound(args.memory_bound)
     return machine
 
 
-def _add_machine_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_problem_arguments(parser: argparse.ArgumentParser) -> None:
+    """The instance arguments read by :func:`_load_problem`."""
+    parser.add_argument("dag_file", nargs="?", help="hyperDAG file (omit to use --kind or --spec)")
+    _add_generator_arguments(parser, require_kind=False)
     parser.add_argument("-P", "--processors", type=int, default=4, help="number of processors")
     parser.add_argument("-g", type=float, default=1.0, help="per-unit communication cost")
     parser.add_argument("-l", "--latency", type=float, default=5.0, help="per-superstep latency")
@@ -257,6 +295,50 @@ def _add_machine_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="M",
         help="per-processor memory bound of the memory-constrained model "
         "(use memory-aware schedulers such as greedy-mem, hc, multilevel)",
+    )
+    parser.add_argument(
+        "--spec",
+        metavar="FILE",
+        help="JSON problem spec or solve request (overrides the DAG/machine flags)",
+    )
+
+
+def _add_generator_arguments(parser: argparse.ArgumentParser, require_kind: bool) -> None:
+    parser.add_argument(
+        "--kind",
+        required=require_kind,
+        help="generator to use (spmv, exp, cg, knn, pagerank, bicgstab, ...)",
+    )
+    parser.add_argument("--size", type=int, default=10, help="matrix dimension for fine-grained kinds")
+    parser.add_argument("--iterations", type=int, default=3, help="iteration count (exp/cg/knn/coarse kinds)")
+    parser.add_argument("--density", type=float, default=0.25, help="nonzero probability of the random matrix")
+    parser.add_argument("--seed", type=int, default=0, help="random seed of the generator")
+
+
+def _add_jobs_argument(parser: argparse.ArgumentParser, workers: str, default: int = 1) -> None:
+    parser.add_argument(
+        "--jobs",
+        type=int,
+        default=default,
+        metavar="N",
+        help=f"{workers} (default: {default})",
+    )
+
+
+def _add_addr_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--addr",
+        default="127.0.0.1:7464",
+        metavar="HOST:PORT",
+        help="address of the solve daemon (default: 127.0.0.1:7464)",
+    )
+
+
+def _add_timing_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--timing",
+        action="store_true",
+        help="include wall-clock seconds in every result (non-deterministic output)",
     )
 
 
@@ -312,18 +394,6 @@ def _trace_scope(args: argparse.Namespace, root: str) -> Iterator[None]:
         print(f"wrote trace of {count} span(s) to {trace_file}", file=sys.stderr)
 
 
-def _add_generator_arguments(parser: argparse.ArgumentParser, require_kind: bool) -> None:
-    parser.add_argument(
-        "--kind",
-        required=require_kind,
-        help="generator to use (spmv, exp, cg, knn, pagerank, bicgstab, ...)",
-    )
-    parser.add_argument("--size", type=int, default=10, help="matrix dimension for fine-grained kinds")
-    parser.add_argument("--iterations", type=int, default=3, help="iteration count (exp/cg/knn/coarse kinds)")
-    parser.add_argument("--density", type=float, default=0.25, help="nonzero probability of the random matrix")
-    parser.add_argument("--seed", type=int, default=0, help="random seed of the generator")
-
-
 # ----------------------------------------------------------------------
 # Parser
 # ----------------------------------------------------------------------
@@ -339,16 +409,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(
+        name: str, run: Callable[[argparse.Namespace], int], help: str
+    ) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        return p
+
     # schedule ----------------------------------------------------------
-    p_sched = sub.add_parser("schedule", help="schedule a DAG and print the cost breakdown")
-    p_sched.add_argument("dag_file", nargs="?", help="hyperDAG file (omit to use --kind or --spec)")
-    _add_generator_arguments(p_sched, require_kind=False)
-    _add_machine_arguments(p_sched)
-    p_sched.add_argument(
-        "--spec",
-        metavar="FILE",
-        help="JSON problem spec or solve request (overrides the DAG/machine flags)",
-    )
+    p_sched = command("schedule", _command_schedule, "schedule a DAG and print the cost breakdown")
+    _add_problem_arguments(p_sched)
     p_sched.add_argument(
         "--scheduler",
         default="framework",
@@ -367,30 +437,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated scheduler list (overrides --scheduler/--compare; "
         "the first entry is the primary scheduler)",
     )
-    p_sched.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes used to run the schedulers (default: 1)",
-    )
+    _add_jobs_argument(p_sched, "worker processes used to run the schedulers")
     p_sched.add_argument("--gantt", action="store_true", help="print a text Gantt view of the schedule")
     p_sched.add_argument("--out", help="write the scheduled DAG assignment to this file (CSV)")
     _add_cache_argument(p_sched)
     _add_trace_argument(p_sched)
 
     # batch -------------------------------------------------------------
-    p_batch = sub.add_parser(
-        "batch", help="solve a JSONL file of solve requests through the API facade"
+    p_batch = command(
+        "batch", _command_batch, "solve a JSONL file of solve requests through the API facade"
     )
     p_batch.add_argument("requests_file", help="JSONL file with one SolveRequest per line")
-    p_batch.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes used to solve the requests (default: 1)",
-    )
+    _add_jobs_argument(p_batch, "worker processes used to solve the requests")
     p_batch.add_argument(
         "--out",
         metavar="FILE",
@@ -406,18 +464,15 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip requests whose results are already in the checkpoint",
     )
-    p_batch.add_argument(
-        "--timing",
-        action="store_true",
-        help="include wall-clock seconds in every result (non-deterministic output)",
-    )
+    _add_timing_argument(p_batch)
     _add_cache_argument(p_batch)
     _add_trace_argument(p_batch)
 
     # serve --------------------------------------------------------------
-    p_serve = sub.add_parser(
+    p_serve = command(
         "serve",
-        help="run the persistent solve daemon (line-delimited JSON over TCP)",
+        _command_serve,
+        "run the persistent solve daemon (line-delimited JSON over TCP)",
     )
     p_serve.add_argument("--host", default="127.0.0.1", help="interface to bind (default: 127.0.0.1)")
     p_serve.add_argument(
@@ -426,13 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=7464,
         help="TCP port to listen on (0 picks an ephemeral port; default: 7464)",
     )
-    p_serve.add_argument(
-        "--jobs",
-        type=int,
-        default=2,
-        metavar="N",
-        help="worker threads executing solve requests (default: 2)",
-    )
+    _add_jobs_argument(p_serve, "worker threads executing solve requests", default=2)
     p_serve.add_argument(
         "--queue-size",
         type=int,
@@ -453,17 +502,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_trace_argument(p_serve)
 
     # submit -------------------------------------------------------------
-    p_submit = sub.add_parser(
+    p_submit = command(
         "submit",
-        help="solve a JSONL file of solve requests on a running solve daemon",
+        _command_submit,
+        "solve a JSONL file of solve requests on a running solve daemon",
     )
     p_submit.add_argument("requests_file", help="JSONL file with one SolveRequest per line")
-    p_submit.add_argument(
-        "--addr",
-        default="127.0.0.1:7464",
-        metavar="HOST:PORT",
-        help="address of the solve daemon (default: 127.0.0.1:7464)",
-    )
+    _add_addr_argument(p_submit)
     p_submit.add_argument(
         "--out",
         metavar="FILE",
@@ -476,28 +521,21 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="per-request timeout enforced by the daemon (default: none)",
     )
-    p_submit.add_argument(
-        "--timing",
-        action="store_true",
-        help="include wall-clock seconds in every result (non-deterministic output)",
-    )
+    _add_timing_argument(p_submit)
 
     # metrics ------------------------------------------------------------
-    p_metrics = sub.add_parser(
+    p_metrics = command(
         "metrics",
-        help="scrape a running solve daemon's metrics (Prometheus text format)",
+        _command_metrics,
+        "scrape a running solve daemon's metrics (Prometheus text format)",
     )
-    p_metrics.add_argument(
-        "--addr",
-        default="127.0.0.1:7464",
-        metavar="HOST:PORT",
-        help="address of the solve daemon (default: 127.0.0.1:7464)",
-    )
+    _add_addr_argument(p_metrics)
 
     # enqueue ------------------------------------------------------------
-    p_enq = sub.add_parser(
+    p_enq = command(
         "enqueue",
-        help="enqueue a JSONL file of solve requests on a shared directory queue",
+        _command_enqueue,
+        "enqueue a JSONL file of solve requests on a shared directory queue",
     )
     p_enq.add_argument("requests_file", help="JSONL file with one SolveRequest per line")
     p_enq.add_argument(
@@ -514,9 +552,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     # worker -------------------------------------------------------------
-    p_worker = sub.add_parser(
+    p_worker = command(
         "worker",
-        help="drain a directory queue: claim, solve, answer (pull-based worker)",
+        _command_worker,
+        "drain a directory queue: claim, solve, answer (pull-based worker)",
     )
     p_worker.add_argument("queue_dir", help="queue directory to drain")
     p_worker.add_argument(
@@ -551,9 +590,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_trace_argument(p_worker)
 
     # collect ------------------------------------------------------------
-    p_collect = sub.add_parser(
+    p_collect = command(
         "collect",
-        help="assemble the results of an enqueued batch into ordered JSONL",
+        _command_collect,
+        "assemble the results of an enqueued batch into ordered JSONL",
     )
     p_collect.add_argument("queue_dir", help="queue directory of the batch")
     p_collect.add_argument("manifest", help="manifest name printed by `repro enqueue`")
@@ -574,16 +614,13 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="give up waiting after this long (with --wait)",
     )
-    p_collect.add_argument(
-        "--timing",
-        action="store_true",
-        help="include wall-clock seconds in every result (non-deterministic output)",
-    )
+    _add_timing_argument(p_collect)
 
     # cache-stats --------------------------------------------------------
-    p_cache = sub.add_parser(
+    p_cache = command(
         "cache-stats",
-        help="print solution-cache telemetry (a directory, or a live daemon)",
+        _command_cache_stats,
+        "print solution-cache telemetry (a directory, or a live daemon)",
     )
     p_cache.add_argument(
         "--addr",
@@ -594,9 +631,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_argument(p_cache)
 
     # cache-gc -----------------------------------------------------------
-    p_gc = sub.add_parser(
+    p_gc = command(
         "cache-gc",
-        help="evict least-recently-used solution-cache entries down to a budget",
+        _command_cache_gc,
+        "evict least-recently-used solution-cache entries down to a budget",
     )
     _add_cache_argument(p_gc)
     p_gc.add_argument(
@@ -620,20 +658,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     # portfolio-explain --------------------------------------------------
-    p_explain = sub.add_parser(
+    p_explain = command(
         "portfolio-explain",
-        help="show the features, selection rule and cache status of an instance",
+        _command_portfolio_explain,
+        "show the features, selection rule and cache status of an instance",
     )
-    p_explain.add_argument(
-        "dag_file", nargs="?", help="hyperDAG file (omit to use --kind or --spec)"
-    )
-    _add_generator_arguments(p_explain, require_kind=False)
-    _add_machine_arguments(p_explain)
-    p_explain.add_argument(
-        "--spec",
-        metavar="FILE",
-        help="JSON problem spec or solve request (overrides the DAG/machine flags)",
-    )
+    _add_problem_arguments(p_explain)
     p_explain.add_argument(
         "--portfolio",
         metavar="SPEC",
@@ -643,14 +673,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_argument(p_explain)
 
     # list-schedulers ----------------------------------------------------
-    sub.add_parser(
+    command(
         "list-schedulers",
-        help="print every registered scheduler with its registry metadata",
+        _command_list_schedulers,
+        "print every registered scheduler with its registry metadata",
     )
 
     # repro -------------------------------------------------------------
-    p_repro = sub.add_parser(
-        "repro", help="regenerate a table/figure of the paper's evaluation"
+    p_repro = command(
+        "repro", _command_repro, "regenerate a table/figure of the paper's evaluation"
     )
     p_repro.add_argument(
         "target",
@@ -664,29 +695,24 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("smoke", "reduced", "paper"),
         help="dataset scale (default: smoke, laptop friendly)",
     )
-    p_repro.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes of the experiment engine (default: 1)",
-    )
+    _add_jobs_argument(p_repro, "worker processes of the experiment engine")
     p_repro.add_argument("--seed", type=int, default=7, help="dataset generation seed")
     p_repro.add_argument("--markdown", action="store_true", help="print tables as markdown")
 
     # generate ----------------------------------------------------------
-    p_gen = sub.add_parser("generate", help="generate a computational DAG and write a hyperDAG file")
+    p_gen = command("generate", _command_generate, "generate a computational DAG and write a hyperDAG file")
     _add_generator_arguments(p_gen, require_kind=True)
     p_gen.add_argument("--out", required=True, help="output hyperDAG file")
 
     # info ---------------------------------------------------------------
-    p_info = sub.add_parser("info", help="print statistics of a hyperDAG file")
+    p_info = command("info", _command_info, "print statistics of a hyperDAG file")
     p_info.add_argument("dag_file", help="hyperDAG file")
 
     # trace-view ---------------------------------------------------------
-    p_tview = sub.add_parser(
+    p_tview = command(
         "trace-view",
-        help="summarize a repro-trace/1 JSONL file written by --trace",
+        _command_trace_view,
+        "summarize a repro-trace/1 JSONL file written by --trace",
     )
     p_tview.add_argument("trace_file", help="trace file written by a --trace run")
     p_tview.add_argument(
@@ -698,45 +724,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     # check --------------------------------------------------------------
-    p_check = sub.add_parser(
+    # A bare entry for `repro --help`: main() hands the raw arguments to
+    # repro.checks.runner, whose parser owns the options (and --help).
+    sub.add_parser(
         "check",
         help="run the project-specific static-analysis suite (repro.checks)",
-    )
-    p_check.add_argument(
-        "paths",
-        nargs="*",
-        help="files or directories to check (default: src tests benchmarks)",
-    )
-    p_check.add_argument(
-        "--format",
-        choices=("human", "json"),
-        default="human",
-        help="output format (default: human)",
-    )
-    p_check.add_argument(
-        "--baseline",
-        default=None,
-        help="baseline file of grandfathered findings",
-    )
-    p_check.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline file and report every finding",
-    )
-    p_check.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline to grandfather every current finding",
-    )
-    p_check.add_argument(
-        "--rules",
-        metavar="NAMES",
-        help="comma-separated subset of rules to run (see --list-rules)",
-    )
-    p_check.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="list the available rules and exit",
     )
 
     return parser
@@ -758,42 +750,28 @@ def subcommands() -> List[str]:
 # Commands
 # ----------------------------------------------------------------------
 def _command_schedule(args: argparse.Namespace) -> int:
-    with _trace_scope(args, "schedule"):
-        return _run_schedule(args)
-
-
-def _run_schedule(args: argparse.Namespace) -> int:
     from .experiments.runner import schedule_many
 
     _apply_cache_dir(args)
+    dag, machine, request = _load_problem(args)
     default_scheduler = args.scheduler
-    if args.spec:
-        loaded = _load_spec_file(args.spec)
-        if isinstance(loaded, SolveRequest):
-            from .registry import canonical_scheduler_spec
-
-            problem = loaded.spec
-            # Canonicalize exactly like the batch facade does, so the
-            # request's seed / time budget are not silently dropped.
-            default_scheduler = canonical_scheduler_spec(
-                loaded.scheduler, seed=loaded.seed, time_budget=loaded.time_budget
-            )
-        else:
-            problem = loaded
-        dag = problem.build_dag()
-        machine = problem.build_machine()
-    else:
-        dag = _load_or_generate_dag(args)
-        machine = _build_machine(args)
+    if request is not None:
+        # Canonicalize exactly like the batch facade does, so the
+        # request's seed / time budget are not silently dropped.
+        default_scheduler = _or_exit(
+            canonical_scheduler_spec,
+            request.scheduler,
+            seed=request.seed,
+            time_budget=request.time_budget,
+        )
     if args.schedulers:
-        try:
-            names = split_scheduler_list(args.schedulers)
-        except ValueError as exc:
-            raise SystemExit(str(exc)) from exc
+        names = _or_exit(split_scheduler_list, args.schedulers)
         if not names:
             raise SystemExit("--schedulers needs at least one scheduler name")
     else:
         names = [default_scheduler] + list(args.compare)
+    for name in names:  # fail on a bad spec before any solving starts
+        _or_exit(make_scheduler, name)
     results = schedule_many(dag, machine, names, jobs=args.jobs)
 
     primary_name, primary = results[0]
@@ -856,11 +834,6 @@ def _batch_summary(results) -> int:
 
 
 def _command_batch(args: argparse.Namespace) -> int:
-    with _trace_scope(args, "batch"):
-        return _run_batch(args)
-
-
-def _run_batch(args: argparse.Namespace) -> int:
     from . import api
 
     _apply_cache_dir(args)
@@ -872,23 +845,13 @@ def _run_batch(args: argparse.Namespace) -> int:
         resume=args.resume,
         tolerant=True,
     )
+    api.write_results(results, args.out or sys.stdout, timing=args.timing)
     if args.out:
-        api.write_results(results, args.out, timing=args.timing)
-        print(
-            f"solved {len(results)} request(s); wrote {args.out}",
-            file=sys.stderr,
-        )
-    else:
-        api.write_results(results, sys.stdout, timing=args.timing)
+        print(f"solved {len(results)} request(s); wrote {args.out}", file=sys.stderr)
     return _batch_summary(results)
 
 
 def _command_serve(args: argparse.Namespace) -> int:
-    with _trace_scope(args, "serve"):
-        return _run_serve(args)
-
-
-def _run_serve(args: argparse.Namespace) -> int:
     from .serve.server import ServeConfig, SolveServer
 
     # --cache-dir is both the daemon's shared cache and the process default,
@@ -1066,11 +1029,6 @@ def _command_enqueue(args: argparse.Namespace) -> int:
 
 
 def _command_worker(args: argparse.Namespace) -> int:
-    with _trace_scope(args, "worker"):
-        return _run_worker_command(args)
-
-
-def _run_worker_command(args: argparse.Namespace) -> int:
     from .distrib.queue import DEFAULT_MAX_ATTEMPTS, DirectoryQueue
     from .distrib.worker import run_worker
 
@@ -1100,6 +1058,7 @@ def _run_worker_command(args: argparse.Namespace) -> int:
 def _command_collect(args: argparse.Namespace) -> int:
     import time
 
+    from . import api
     from .distrib.queue import DirectoryQueue, QueueError
 
     queue = DirectoryQueue(args.queue_dir)
@@ -1111,16 +1070,7 @@ def _command_collect(args: argparse.Namespace) -> int:
     results: dict = {}
     failed: dict = {}
     while True:
-        for task_id in ids:
-            if task_id in results or task_id in failed:
-                continue
-            result = queue.load_result(task_id)
-            if result is not None:
-                results[task_id] = result
-                continue
-            error = queue.load_failure(task_id)
-            if error is not None:
-                failed[task_id] = error
+        queue.poll_answers(ids, results, failed)
         missing = [t for t in ids if t not in results and t not in failed]
         if not missing or not args.wait:
             break
@@ -1139,18 +1089,9 @@ def _command_collect(args: argparse.Namespace) -> int:
         raise SystemExit(
             f"{len(failed)} request(s) dead-lettered:\n" + "\n".join(lines)
         )
-    handle = open(args.out, "w") if args.out else sys.stdout
-    try:
-        for task_id in ids:
-            handle.write(results[task_id].to_json(timing=args.timing) + "\n")
-    finally:
-        if args.out:
-            handle.close()
+    api.write_results([results[t] for t in ids], args.out or sys.stdout, timing=args.timing)
     if args.out:
-        print(
-            f"collected {len(ids)} result(s); wrote {args.out}",
-            file=sys.stderr,
-        )
+        print(f"collected {len(ids)} result(s); wrote {args.out}", file=sys.stderr)
     invalid = sum(1 for task_id in ids if not results[task_id].valid)
     print(
         f"collect summary: {len(ids) - invalid}/{len(ids)} ok, {invalid} invalid",
@@ -1169,10 +1110,7 @@ def _command_repro(args: argparse.Namespace) -> int:
         if not args.list and not args.target:
             print("\npick a target: python -m repro repro <target>")
         return 0
-    try:
-        tables = reproduce(args.target, scale=args.scale, jobs=args.jobs, seed=args.seed)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from exc
+    tables = _or_exit(reproduce, args.target, scale=args.scale, jobs=args.jobs, seed=args.seed)
     for table in tables:
         print(table.to_markdown() if args.markdown else table.to_text())
         print()
@@ -1205,22 +1143,10 @@ def _command_list_schedulers(args: argparse.Namespace) -> int:
 def _command_portfolio_explain(args: argparse.Namespace) -> int:
     from .portfolio.features import instance_signature
     from .portfolio.selector import PortfolioScheduler
-    from .registry import make_scheduler
 
     _apply_cache_dir(args)
-    if args.spec:
-        loaded = _load_spec_file(args.spec)
-        problem = loaded.spec if isinstance(loaded, SolveRequest) else loaded
-        dag = problem.build_dag()
-        machine = problem.build_machine()
-    else:
-        dag = _load_or_generate_dag(args)
-        machine = _build_machine(args)
-
-    try:
-        portfolio = make_scheduler(args.portfolio)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from exc
+    dag, machine, _ = _load_problem(args)
+    portfolio = _or_exit(make_scheduler, args.portfolio)
     if not isinstance(portfolio, PortfolioScheduler):
         raise SystemExit(f"--portfolio must name a portfolio spec, got {args.portfolio!r}")
 
@@ -1258,7 +1184,7 @@ def _command_portfolio_explain(args: argparse.Namespace) -> int:
 
 
 def _command_generate(args: argparse.Namespace) -> int:
-    dag = _generate(args.kind, args.size, args.iterations, args.density, args.seed)
+    dag = _load_dag(args)
     write_hyperdag(dag, args.out, comment=f"generated by `python -m repro generate --kind {args.kind}`")
     stats = dag_statistics(dag)
     print(f"wrote {args.out}: {stats.num_nodes} nodes, {stats.num_edges} edges, depth {stats.depth}")
@@ -1266,7 +1192,7 @@ def _command_generate(args: argparse.Namespace) -> int:
 
 
 def _command_info(args: argparse.Namespace) -> int:
-    dag = read_hyperdag(args.dag_file)
+    dag = _load_dag(args)
     stats = dag_statistics(dag).as_dict()
     width = max(len(k) for k in stats)
     for key, value in stats.items():
@@ -1301,62 +1227,16 @@ def _command_trace_view(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_check(args: argparse.Namespace) -> int:
-    from .checks.runner import main as check_main
-
-    argv: List[str] = list(args.paths)
-    argv += ["--format", args.format]
-    if args.baseline is not None:
-        argv += ["--baseline", args.baseline]
-    if args.no_baseline:
-        argv.append("--no-baseline")
-    if args.update_baseline:
-        argv.append("--update-baseline")
-    if args.rules:
-        argv += ["--rules", args.rules]
-    if args.list_rules:
-        argv.append("--list-rules")
-    return check_main(argv)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point of ``python -m repro``."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if argv[:1] == ["check"]:
+        from .checks.runner import main as check_main
+
+        return check_main(argv[1:])
     args = build_parser().parse_args(argv)
-    if args.command == "schedule":
-        return _command_schedule(args)
-    if args.command == "batch":
-        return _command_batch(args)
-    if args.command == "serve":
-        return _command_serve(args)
-    if args.command == "submit":
-        return _command_submit(args)
-    if args.command == "metrics":
-        return _command_metrics(args)
-    if args.command == "cache-stats":
-        return _command_cache_stats(args)
-    if args.command == "cache-gc":
-        return _command_cache_gc(args)
-    if args.command == "enqueue":
-        return _command_enqueue(args)
-    if args.command == "worker":
-        return _command_worker(args)
-    if args.command == "collect":
-        return _command_collect(args)
-    if args.command == "portfolio-explain":
-        return _command_portfolio_explain(args)
-    if args.command == "list-schedulers":
-        return _command_list_schedulers(args)
-    if args.command == "repro":
-        return _command_repro(args)
-    if args.command == "generate":
-        return _command_generate(args)
-    if args.command == "info":
-        return _command_info(args)
-    if args.command == "trace-view":
-        return _command_trace_view(args)
-    if args.command == "check":
-        return _command_check(args)
-    raise SystemExit(f"unknown command {args.command!r}")  # pragma: no cover
+    with _trace_scope(args, args.command):
+        return args.run(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -356,6 +356,33 @@ class DirectoryQueue:
             return None
         return str(data.get("error", "dead-lettered"))
 
+    def poll_answers(
+        self,
+        task_ids: Sequence[str],
+        results: Dict[str, SolveResult],
+        failures: Dict[str, str],
+    ) -> bool:
+        """One scan for answers to ``task_ids``, in order.
+
+        Each task not yet in ``results`` or ``failures`` is looked up: an
+        answered result goes into ``results``, a dead-letter error into
+        ``failures``.  Returns ``True`` when the scan recorded anything new.
+        """
+        progressed = False
+        for task_id in task_ids:
+            if task_id in results or task_id in failures:
+                continue
+            result = self.load_result(task_id)
+            if result is not None:
+                results[task_id] = result
+                progressed = True
+                continue
+            error = self.load_failure(task_id)
+            if error is not None:
+                failures[task_id] = error
+                progressed = True
+        return progressed
+
     def recover_claimed(self) -> List[str]:
         """Move every claimed task back to pending (crash recovery).
 

@@ -47,7 +47,6 @@ class PipelineConfig:
 
     # --- misc -----------------------------------------------------------
     solver_backend: str = "highs"
-    cilk_seed: int = 0
 
     # ------------------------------------------------------------------
     @classmethod

@@ -1,8 +1,13 @@
 """Tests for the command-line interface (python -m repro)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import build_parser, main, subcommands
 from repro.graphs.fine import spmv_dag
 from repro.graphs.hyperdag import read_hyperdag, write_hyperdag
 
@@ -26,6 +31,60 @@ class TestParser:
     def test_generate_requires_out(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["generate", "--kind", "spmv"])
+
+
+class TestHelp:
+    @pytest.mark.parametrize("name", subcommands())
+    def test_every_subcommand_has_help(self, name, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([name, "--help"])
+        assert excinfo.value.code == 0
+        assert f"repro {name}" in capsys.readouterr().out
+
+    def test_check_help_is_the_runners_own(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["check", "--help"])
+        out = capsys.readouterr().out
+        assert "Project-specific static analysis for the repro codebase." in out
+        assert "--rules RULES" in out  # the runner's parser, not a copy of it
+
+
+class TestBadInput:
+    """Bad user input ends in a one-line message (exit status 1), never a traceback."""
+
+    SPMV = ["--kind", "spmv", "--size", "5", "-P", "2"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["schedule", *SPMV, "--scheduler", "hc(max_moves=5"], "invalid scheduler spec"),
+            (["schedule", *SPMV, "--scheduler", "hc(foo=1)"], "unknown parameter"),
+            (["schedule", *SPMV, "--schedulers", "cilk,hc(foo=1)"], "unknown parameter"),
+            (["schedule", "--kind", "spmv", "-P", "0"], "P must be positive"),
+            (["portfolio-explain", "--kind", "spmv", "-P", "0"], "P must be positive"),
+            (["schedule", "/missing.hdag"], "No such file"),
+            (["info", "/missing.hdag"], "No such file"),
+        ],
+    )
+    def test_exits_with_one_line_message(self, argv, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert isinstance(excinfo.value.code, str)
+        assert message in excinfo.value.code
+        assert "\n" not in excinfo.value.code
+
+    def test_console_exit_status_and_no_traceback(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "info", "/missing.hdag"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.strip().count("\n") == 0
 
 
 class TestGenerateAndInfo:
@@ -91,7 +150,7 @@ class TestScheduleCommand:
             main(["schedule", "-P", "2"])
 
     def test_unknown_scheduler_rejected(self, hyperdag_file):
-        with pytest.raises(ValueError):
+        with pytest.raises(SystemExit, match="unknown scheduler 'magic'"):
             main(["schedule", str(hyperdag_file), "--scheduler", "magic"])
 
 

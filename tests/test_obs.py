@@ -602,6 +602,23 @@ class TestCliTracing:
         traced = capsys.readouterr()
         assert traced.out == bare  # stdout untouched; the note goes to stderr
 
+    def test_batch_trace_keeps_stdout_and_roots_at_batch(self, tmp_path, capsys):
+        from repro.cli import main
+
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text(
+            "".join(solve_request(scheduler=s).to_json() + "\n" for s in ("etf", "hdagg"))
+        )
+        assert main(["batch", str(requests)]) == 0
+        bare = capsys.readouterr().out
+        trace_file = tmp_path / "batch.jsonl"
+        assert main(["batch", str(requests), "--trace", str(trace_file)]) == 0
+        assert capsys.readouterr().out == bare
+        records = read_trace(trace_file)
+        assert validate_trace(records) == []
+        roots = [r["name"] for r in records if r.get("type") == "span" and r["parent"] is None]
+        assert roots == ["batch"]
+
     def test_trace_view_rejects_garbage(self, tmp_path, capsys):
         from repro.cli import main
 
