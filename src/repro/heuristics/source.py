@@ -35,27 +35,39 @@ class SourceScheduler(Scheduler):
     def schedule(self, dag: ComputationalDAG, machine: BspMachine) -> BspSchedule:
         n = dag.n
         P = machine.P
-        proc = np.full(n, -1, dtype=np.int64)
-        step = np.full(n, -1, dtype=np.int64)
         if n == 0:
             return BspSchedule(dag, machine, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        proc = [-1] * n
+        step = [-1] * n
 
-        remaining_parents = np.array([dag.in_degree(v) for v in range(n)], dtype=np.int64)
-        assigned = np.zeros(n, dtype=bool)
+        parents = [dag.parents(v) for v in range(n)]
+        children = [dag.children(v) for v in range(n)]
+        work = dag.work.tolist()
+        remaining_parents = [len(parents[v]) for v in range(n)]
+        assigned = [False] * n
+        assigned_count = 0
+        # Children whose last parent was assigned this superstep: every
+        # source of the next superstep is among them.
+        freed: List[int] = []
 
         def mark_assigned(v: int, p: int, s: int) -> None:
+            nonlocal assigned_count
             proc[v] = p
             step[v] = s
             assigned[v] = True
-            for child in dag.children(v):
+            assigned_count += 1
+            for child in children[v]:
                 remaining_parents[child] -= 1
+                if remaining_parents[child] == 0:
+                    freed.append(child)
 
         superstep = 0
         current_proc = 0
-        while not assigned.all():
-            sources = [v for v in range(n) if not assigned[v] and remaining_parents[v] == 0]
+        sources = [v for v in range(n) if remaining_parents[v] == 0]
+        while assigned_count < n:
             if not sources:
                 raise RuntimeError("Source heuristic found no available source nodes")
+            freed.clear()
 
             if superstep == 0:
                 clusters = self._cluster_initial_sources(dag, sources)
@@ -64,23 +76,27 @@ class SourceScheduler(Scheduler):
                         mark_assigned(v, current_proc, superstep)
                     current_proc = (current_proc + 1) % P
             else:
-                ordered = sorted(sources, key=lambda v: (-int(dag.work[v]), v))
+                ordered = sorted(sources, key=lambda v: (-work[v], v))
                 for v in ordered:
                     mark_assigned(v, current_proc, superstep)
                     current_proc = (current_proc + 1) % P
 
             # Pull in successors whose predecessors all live on one processor.
             for v in sources:
-                for u in dag.children(v):
+                for u in children[v]:
                     if assigned[u] or remaining_parents[u] != 0:
                         continue
-                    parent_procs = {int(proc[w]) for w in dag.parents(u)}
+                    parent_procs = {proc[w] for w in parents[u]}
                     if len(parent_procs) == 1 and -1 not in parent_procs:
                         mark_assigned(u, parent_procs.pop(), superstep)
 
             superstep += 1
+            # Ascending ids, which the clustering and the pull-in depend on.
+            sources = sorted(v for v in freed if not assigned[v])
 
-        return BspSchedule(dag, machine, proc, step)
+        return BspSchedule(
+            dag, machine, np.array(proc, dtype=np.int64), np.array(step, dtype=np.int64)
+        )
 
     @staticmethod
     def _cluster_initial_sources(dag: ComputationalDAG, sources: List[int]) -> List[List[int]]:
