@@ -26,126 +26,71 @@ or imperatively::
     machine = BspMachine(P=4, g=3, l=5)
     result = run_pipeline(dag, machine)
     print("ours:", result.final_cost, " cilk:", CilkScheduler().schedule(dag, machine).cost())
+
+Every name below resolves on first use: ``import repro`` loads no
+subpackage, and ``from repro import solve`` loads only what ``solve`` needs.
 """
 
-from .graphs import (
-    ComputationalDAG,
-    cg_dag,
-    coarse_conjugate_gradient,
-    coarse_pagerank,
-    dag_statistics,
-    exp_dag,
-    knn_dag,
-    read_hyperdag,
-    spmv_dag,
-    write_hyperdag,
-)
-from .model import (
-    BspMachine,
-    BspSchedule,
-    ClassicalSchedule,
-    CommSchedule,
-    CostBreakdown,
-    classical_to_bsp,
-    evaluate,
-)
-from .pipeline import (
-    AdaptiveScheduler,
-    FrameworkScheduler,
-    MultilevelConfig,
-    PipelineConfig,
-    PipelineResult,
-    run_pipeline,
-)
-from .multilevel import MultilevelScheduler, multilevel_schedule
-from .model import describe_schedule, schedule_to_text_gantt
-
-# The facade imports the experiment engine, which reaches back through the
-# pipeline/multilevel packages — keep this import after them so the package
-# initialization order stays acyclic.
-from .api import compare, solve, solve_many
-from .portfolio import (
-    InstanceFeatures,
-    PortfolioScheduler,
-    SolutionCache,
-    extract_features,
-    instance_signature,
-)
-from .registry import (
-    SchedulerInfo,
-    available_schedulers,
-    make_scheduler,
-    parse_scheduler_spec,
-    register_scheduler,
-    scheduler_info,
-)
-from .scheduler import Scheduler, SchedulingError
-from .spec import (
-    DagSpec,
-    MachineSpec,
-    ProblemSpec,
-    SolveRequest,
-    SolveResult,
-    SpecError,
-)
+from ._lazy import lazy_exports
 
 __version__ = "2.1.0"
 
-__all__ = [
-    "__version__",
+_exports, __getattr__, __dir__ = lazy_exports(globals(), {
     # declarative solve API
-    "solve",
-    "solve_many",
-    "compare",
-    "DagSpec",
-    "MachineSpec",
-    "ProblemSpec",
-    "SolveRequest",
-    "SolveResult",
-    "SpecError",
+    ".api": ("solve", "solve_many", "compare"),
+    ".spec": ("DagSpec", "MachineSpec", "ProblemSpec", "SolveRequest", "SolveResult", "SpecError"),
     # registry
-    "SchedulerInfo",
-    "register_scheduler",
-    "scheduler_info",
-    "parse_scheduler_spec",
+    ".registry": (
+        "SchedulerInfo",
+        "register_scheduler",
+        "scheduler_info",
+        "parse_scheduler_spec",
+        "make_scheduler",
+        "available_schedulers",
+    ),
     # graphs
-    "ComputationalDAG",
-    "spmv_dag",
-    "exp_dag",
-    "cg_dag",
-    "knn_dag",
-    "coarse_conjugate_gradient",
-    "coarse_pagerank",
-    "dag_statistics",
-    "read_hyperdag",
-    "write_hyperdag",
+    ".graphs": (
+        "ComputationalDAG",
+        "spmv_dag",
+        "exp_dag",
+        "cg_dag",
+        "knn_dag",
+        "coarse_conjugate_gradient",
+        "coarse_pagerank",
+        "dag_statistics",
+        "read_hyperdag",
+        "write_hyperdag",
+    ),
     # model
-    "BspMachine",
-    "BspSchedule",
-    "CommSchedule",
-    "CostBreakdown",
-    "evaluate",
-    "ClassicalSchedule",
-    "classical_to_bsp",
+    ".model": (
+        "BspMachine",
+        "BspSchedule",
+        "CommSchedule",
+        "CostBreakdown",
+        "evaluate",
+        "ClassicalSchedule",
+        "classical_to_bsp",
+        "describe_schedule",
+        "schedule_to_text_gantt",
+    ),
     # scheduling
-    "Scheduler",
-    "SchedulingError",
-    "PipelineConfig",
-    "MultilevelConfig",
-    "run_pipeline",
-    "PipelineResult",
-    "FrameworkScheduler",
-    "AdaptiveScheduler",
-    "MultilevelScheduler",
-    "multilevel_schedule",
-    "make_scheduler",
-    "available_schedulers",
-    "describe_schedule",
-    "schedule_to_text_gantt",
+    ".scheduler": ("Scheduler", "SchedulingError"),
+    ".pipeline": (
+        "PipelineConfig",
+        "MultilevelConfig",
+        "run_pipeline",
+        "PipelineResult",
+        "FrameworkScheduler",
+        "AdaptiveScheduler",
+    ),
+    ".multilevel": ("MultilevelScheduler", "multilevel_schedule"),
     # portfolio scheduling & solution cache
-    "InstanceFeatures",
-    "PortfolioScheduler",
-    "SolutionCache",
-    "extract_features",
-    "instance_signature",
-]
+    ".portfolio": (
+        "InstanceFeatures",
+        "PortfolioScheduler",
+        "SolutionCache",
+        "extract_features",
+        "instance_signature",
+    ),
+})
+__all__ = ["__version__", *_exports]

@@ -1,20 +1,11 @@
 """Baseline schedulers the paper compares against."""
 
-from .cilk import CilkScheduler, simulate_work_stealing
-from .hdagg import HDaggScheduler
-from .list_schedulers import BlEstScheduler, EtfScheduler, list_schedule
-from .memory import MemoryAwareGreedyScheduler, repair_memory
-from .trivial import LevelRoundRobinScheduler, TrivialScheduler
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CilkScheduler",
-    "simulate_work_stealing",
-    "BlEstScheduler",
-    "EtfScheduler",
-    "list_schedule",
-    "HDaggScheduler",
-    "MemoryAwareGreedyScheduler",
-    "repair_memory",
-    "TrivialScheduler",
-    "LevelRoundRobinScheduler",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".cilk": ("CilkScheduler", "simulate_work_stealing"),
+    ".list_schedulers": ("BlEstScheduler", "EtfScheduler", "list_schedule"),
+    ".hdagg": ("HDaggScheduler",),
+    ".memory": ("MemoryAwareGreedyScheduler", "repair_memory"),
+    ".trivial": ("TrivialScheduler", "LevelRoundRobinScheduler"),
+})

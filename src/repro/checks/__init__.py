@@ -35,17 +35,9 @@ baseline file can grandfather known findings.  Entry points: the
 ``repro check`` CLI subcommand and :func:`repro.checks.runner.run_checks`.
 """
 
-from .core import BaselineError, Finding, Project, Rule, SourceModule
-from .runner import CheckReport, all_rules, main, run_checks
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BaselineError",
-    "CheckReport",
-    "Finding",
-    "Project",
-    "Rule",
-    "SourceModule",
-    "all_rules",
-    "main",
-    "run_checks",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".core": ("BaselineError", "Finding", "Project", "Rule", "SourceModule"),
+    ".runner": ("CheckReport", "all_rules", "main", "run_checks"),
+})

@@ -182,12 +182,7 @@ import sys
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from .experiments.runner import REQUEST_BUILD_FAILURES
-from .graphs.analysis import dag_statistics
-from .graphs.coarse import COARSE_GRAINED_GENERATORS, generate_coarse_grained
 from .graphs.dag import ComputationalDAG
-from .graphs.fine import FINE_GRAINED_GENERATORS, generate_fine_grained
-from .graphs.hyperdag import read_hyperdag, write_hyperdag
-from .model.inspect import describe_schedule, schedule_to_text_gantt
 from .model.machine import BspMachine
 from .registry import (
     available_schedulers,
@@ -218,9 +213,14 @@ def _or_exit(build: Callable[..., _T], *args: Any, **kwargs: Any) -> _T:
 def _load_dag(args: argparse.Namespace) -> ComputationalDAG:
     """The DAG a command names: a hyperDAG file, else a ``--kind`` generator."""
     if getattr(args, "dag_file", None):
+        from .graphs.hyperdag import read_hyperdag
+
         return _or_exit(read_hyperdag, args.dag_file)
     if not args.kind:
         raise SystemExit("either a hyperDAG file, --kind, or --spec must be given")
+    from .graphs.coarse import COARSE_GRAINED_GENERATORS, generate_coarse_grained
+    from .graphs.fine import FINE_GRAINED_GENERATORS, generate_fine_grained
+
     if args.kind in FINE_GRAINED_GENERATORS:
         kwargs = {"n": args.size, "q": args.density, "seed": args.seed}
         if args.kind != "spmv":
@@ -751,6 +751,7 @@ def subcommands() -> List[str]:
 # ----------------------------------------------------------------------
 def _command_schedule(args: argparse.Namespace) -> int:
     from .experiments.runner import schedule_many
+    from .model.inspect import describe_schedule, schedule_to_text_gantt
 
     _apply_cache_dir(args)
     dag, machine, request = _load_problem(args)
@@ -1184,6 +1185,9 @@ def _command_portfolio_explain(args: argparse.Namespace) -> int:
 
 
 def _command_generate(args: argparse.Namespace) -> int:
+    from .graphs.analysis import dag_statistics
+    from .graphs.hyperdag import write_hyperdag
+
     dag = _load_dag(args)
     write_hyperdag(dag, args.out, comment=f"generated by `python -m repro generate --kind {args.kind}`")
     stats = dag_statistics(dag)
@@ -1192,6 +1196,8 @@ def _command_generate(args: argparse.Namespace) -> int:
 
 
 def _command_info(args: argparse.Namespace) -> int:
+    from .graphs.analysis import dag_statistics
+
     dag = _load_dag(args)
     stats = dag_statistics(dag).as_dict()
     width = max(len(k) for k in stats)

@@ -10,22 +10,15 @@ retry counter, dead-letter) and one solution cache.  See
 through the queue (participating inline, accelerated by any extra workers).
 """
 
-from .queue import (
-    DEFAULT_MAX_ATTEMPTS,
-    ENVELOPE_FORMAT_VERSION,
-    DirectoryQueue,
-    Envelope,
-    QueueError,
-)
-from .worker import WorkerStats, run_worker, solve_envelope
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_MAX_ATTEMPTS",
-    "ENVELOPE_FORMAT_VERSION",
-    "DirectoryQueue",
-    "Envelope",
-    "QueueError",
-    "WorkerStats",
-    "run_worker",
-    "solve_envelope",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".queue": (
+        "DEFAULT_MAX_ATTEMPTS",
+        "ENVELOPE_FORMAT_VERSION",
+        "DirectoryQueue",
+        "Envelope",
+        "QueueError",
+    ),
+    ".worker": ("WorkerStats", "run_worker", "solve_envelope"),
+})

@@ -1,55 +1,35 @@
 """Experiment harness: datasets, runners and table/figure regeneration."""
 
-from .datasets import (
-    DATASET_RANGES,
-    build_dataset,
-    build_training_set,
-    dataset_range,
-    fit_fine_grained,
-)
-from .persistence import (
-    experiment_from_dict,
-    experiment_to_dict,
-    load_experiment,
-    save_experiment,
-    schedule_from_dict,
-    schedule_to_dict,
-)
-from .report import Table, format_percent, geometric_mean, improvement
-from .sweep import MachineSpec, SweepRecord, records_to_csv, sweep
-from .runner import (
-    ExperimentResult,
-    InstanceResult,
-    run_experiment,
-    run_instance,
-    stage_ratio_summary,
-)
-from . import tables
+from .._lazy import lazy_exports
+from .sweep import sweep as sweep
 
-__all__ = [
-    "sweep",
-    "SweepRecord",
-    "MachineSpec",
-    "records_to_csv",
-    "DATASET_RANGES",
-    "dataset_range",
-    "build_dataset",
-    "build_training_set",
-    "fit_fine_grained",
-    "Table",
-    "geometric_mean",
-    "improvement",
-    "format_percent",
-    "InstanceResult",
-    "ExperimentResult",
-    "run_instance",
-    "run_experiment",
-    "stage_ratio_summary",
-    "tables",
-    "save_experiment",
-    "load_experiment",
-    "experiment_to_dict",
-    "experiment_from_dict",
-    "schedule_to_dict",
-    "schedule_from_dict",
-]
+# ``sweep`` names both a submodule and the function it defines.  Importing
+# the submodule would bind the module over a lazily resolved name, so the
+# function is imported eagerly above, together with its submodule.
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".sweep": ("sweep", "SweepRecord", "MachineSpec", "records_to_csv"),
+    ".datasets": (
+        "DATASET_RANGES",
+        "dataset_range",
+        "build_dataset",
+        "build_training_set",
+        "fit_fine_grained",
+    ),
+    ".report": ("Table", "geometric_mean", "improvement", "format_percent"),
+    ".runner": (
+        "InstanceResult",
+        "ExperimentResult",
+        "run_instance",
+        "run_experiment",
+        "stage_ratio_summary",
+    ),
+    ".tables": ("tables",),
+    ".persistence": (
+        "save_experiment",
+        "load_experiment",
+        "experiment_to_dict",
+        "experiment_from_dict",
+        "schedule_to_dict",
+        "schedule_from_dict",
+    ),
+})

@@ -36,10 +36,8 @@ import numpy as np
 from ..graphs.dag import ComputationalDAG
 from ..model.machine import BspMachine
 from ..model.schedule import BspSchedule, ScheduleValidationError
-from ..multilevel.scheduler import multilevel_schedule
 from ..obs import trace as _trace
 from ..pipeline.config import MultilevelConfig, PipelineConfig
-from ..pipeline.framework import run_pipeline
 from ..registry import (
     TABLE_LABELS,
     canonical_scheduler_spec,
@@ -372,6 +370,8 @@ def _execute_work_item(item: WorkItem) -> WorkItemResult:
     dag, machine = item.dag, item.machine
     start = time.perf_counter()
     if item.scheduler == PIPELINE_ITEM:
+        from ..pipeline.framework import run_pipeline
+
         pipe = run_pipeline(dag, machine, item.pipeline_config)
         pipe.schedule.validate()
         return WorkItemResult(
@@ -394,6 +394,8 @@ def _execute_work_item(item: WorkItem) -> WorkItemResult:
         )
     if item.scheduler == MULTILEVEL_ITEM:
         assert item.multilevel_config is not None
+        from ..multilevel.scheduler import multilevel_schedule
+
         ml_schedule, per_ratio = multilevel_schedule(dag, machine, item.multilevel_config)
         ml_schedule.validate()
         costs: Dict[str, float] = {"ML": float(ml_schedule.cost())}

@@ -1,66 +1,41 @@
 """Computational DAGs: data structure, generators, I/O and analysis."""
 
-from .analysis import DagStatistics, communication_to_computation_ratio, dag_statistics
-from .coarse import (
-    COARSE_GRAINED_GENERATORS,
-    coarse_bicgstab,
-    coarse_conjugate_gradient,
-    coarse_khop,
-    coarse_kmeans,
-    coarse_label_propagation,
-    coarse_pagerank,
-    generate_coarse_grained,
-)
-from .dag import ComputationalDAG, DagValidationError
-from .dot import dag_to_dot, schedule_to_dot
-from .fine import (
-    FINE_GRAINED_GENERATORS,
-    cg_dag,
-    exp_dag,
-    generate_fine_grained,
-    knn_dag,
-    spmv_dag,
-)
-from .hyperdag import (
-    dag_to_hyperdag,
-    dumps_hyperdag,
-    hyperdag_to_dag,
-    loads_hyperdag,
-    read_hyperdag,
-    write_hyperdag,
-)
-from .random import banded_pattern, erdos_renyi_dag, random_layered_dag, random_sparse_pattern
+from .._lazy import lazy_exports
 
-__all__ = [
-    "dag_to_dot",
-    "schedule_to_dot",
-    "ComputationalDAG",
-    "DagValidationError",
-    "DagStatistics",
-    "dag_statistics",
-    "communication_to_computation_ratio",
-    "spmv_dag",
-    "exp_dag",
-    "cg_dag",
-    "knn_dag",
-    "generate_fine_grained",
-    "FINE_GRAINED_GENERATORS",
-    "coarse_conjugate_gradient",
-    "coarse_bicgstab",
-    "coarse_pagerank",
-    "coarse_label_propagation",
-    "coarse_khop",
-    "coarse_kmeans",
-    "generate_coarse_grained",
-    "COARSE_GRAINED_GENERATORS",
-    "dag_to_hyperdag",
-    "hyperdag_to_dag",
-    "dumps_hyperdag",
-    "loads_hyperdag",
-    "read_hyperdag",
-    "write_hyperdag",
-    "random_sparse_pattern",
-    "banded_pattern",
-    "random_layered_dag",
-    "erdos_renyi_dag",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".dot": ("dag_to_dot", "schedule_to_dot"),
+    ".dag": ("ComputationalDAG", "DagValidationError"),
+    ".analysis": ("DagStatistics", "dag_statistics", "communication_to_computation_ratio"),
+    ".fine": (
+        "spmv_dag",
+        "exp_dag",
+        "cg_dag",
+        "knn_dag",
+        "generate_fine_grained",
+        "FINE_GRAINED_GENERATORS",
+    ),
+    ".coarse": (
+        "coarse_conjugate_gradient",
+        "coarse_bicgstab",
+        "coarse_pagerank",
+        "coarse_label_propagation",
+        "coarse_khop",
+        "coarse_kmeans",
+        "generate_coarse_grained",
+        "COARSE_GRAINED_GENERATORS",
+    ),
+    ".hyperdag": (
+        "dag_to_hyperdag",
+        "hyperdag_to_dag",
+        "dumps_hyperdag",
+        "loads_hyperdag",
+        "read_hyperdag",
+        "write_hyperdag",
+    ),
+    ".random": (
+        "random_sparse_pattern",
+        "banded_pattern",
+        "random_layered_dag",
+        "erdos_renyi_dag",
+    ),
+})

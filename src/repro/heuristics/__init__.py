@@ -1,6 +1,8 @@
 """Initialization heuristics for the scheduling framework (paper Section 4.2)."""
 
-from .bspg import BspGreedyScheduler
-from .source import SourceScheduler
+from .._lazy import lazy_exports
 
-__all__ = ["BspGreedyScheduler", "SourceScheduler"]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".bspg": ("BspGreedyScheduler",),
+    ".source": ("SourceScheduler",),
+})

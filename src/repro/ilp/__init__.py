@@ -1,32 +1,14 @@
 """ILP-based scheduling methods (paper Section 4.4) and the MILP layer."""
 
-from .bnb import solve_branch_and_bound
-from .commsched import CommScheduleIlpImprover, solve_comm_schedule_ilp
-from .formulation import BspIlpFormulation, build_bsp_ilp, estimate_variable_count
-from .full import IlpFullScheduler, solve_full_ilp
-from .init import IlpInitScheduler, topological_batches
-from .model import INF, Constraint, IlpModel
-from .partial import PartialIlpImprover, superstep_windows
-from .solver import SolverResult, SolverStatus, solve, solve_with_highs
+from .._lazy import lazy_exports
 
-__all__ = [
-    "IlpModel",
-    "Constraint",
-    "INF",
-    "solve",
-    "solve_with_highs",
-    "solve_branch_and_bound",
-    "SolverResult",
-    "SolverStatus",
-    "BspIlpFormulation",
-    "build_bsp_ilp",
-    "estimate_variable_count",
-    "IlpFullScheduler",
-    "solve_full_ilp",
-    "CommScheduleIlpImprover",
-    "solve_comm_schedule_ilp",
-    "PartialIlpImprover",
-    "superstep_windows",
-    "IlpInitScheduler",
-    "topological_batches",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".model": ("IlpModel", "Constraint", "INF"),
+    ".solver": ("solve", "solve_with_highs", "SolverResult", "SolverStatus"),
+    ".bnb": ("solve_branch_and_bound",),
+    ".formulation": ("BspIlpFormulation", "build_bsp_ilp", "estimate_variable_count"),
+    ".full": ("IlpFullScheduler", "solve_full_ilp"),
+    ".commsched": ("CommScheduleIlpImprover", "solve_comm_schedule_ilp"),
+    ".partial": ("PartialIlpImprover", "superstep_windows"),
+    ".init": ("IlpInitScheduler", "topological_batches"),
+})

@@ -1,12 +1,10 @@
-"""Pure-Python branch-and-bound MILP solver (fallback backend).
+"""Pure-Python branch-and-bound MILP solver (the ``"bnb"`` backend).
 
 Solves small mixed-integer programs by LP-relaxation branch and bound, using
 ``scipy.optimize.linprog`` (HiGHS simplex/IPM) for the relaxations.  It is
-*not* meant to compete with a real MILP solver — it exists so that
-
-* the package keeps working if ``scipy.optimize.milp`` is unavailable, and
-* the formulations can be cross-checked against an independent solver in the
-  test suite.
+*not* meant to compete with a real MILP solver — it exists so that the
+formulations can be cross-checked against an independent solver in the test
+suite.
 
 Best-first search on the relaxation bound, branching on the most fractional
 integer variable.

@@ -2,9 +2,10 @@
 
 The paper uses the open-source CBC solver with per-call time limits; this
 reproduction substitutes SciPy's bundled HiGHS MILP solver
-(``scipy.optimize.milp``) and a pure-Python branch-and-bound fallback
-(:mod:`repro.ilp.bnb`).  Both are driven through :func:`solve`, which
-normalizes the result into a :class:`SolverResult`.
+(``scipy.optimize.milp``, a declared dependency) and offers a pure-Python
+branch and bound (:mod:`repro.ilp.bnb`) as an independent second backend.
+Both are driven through :func:`solve`, which normalizes the result into a
+:class:`SolverResult`.
 """
 
 from __future__ import annotations
@@ -93,15 +94,11 @@ def solve(
 ) -> SolverResult:
     """Solve a model with the requested backend (``"highs"`` or ``"bnb"``).
 
-    The branch-and-bound backend exists to keep the package functional where
-    SciPy's HiGHS wrapper is unavailable and to cross-check the formulations
-    in tests; it is only suitable for small models.
+    The branch-and-bound backend is an independent oracle that cross-checks
+    the formulations in tests; it is only suitable for small models.
     """
     if backend == "highs":
-        try:
-            return solve_with_highs(model, time_limit=time_limit, mip_rel_gap=mip_rel_gap)
-        except ImportError:  # pragma: no cover - environment without scipy.milp
-            backend = "bnb"
+        return solve_with_highs(model, time_limit=time_limit, mip_rel_gap=mip_rel_gap)
     if backend == "bnb":
         from .bnb import solve_branch_and_bound
 

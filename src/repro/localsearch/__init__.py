@@ -1,38 +1,24 @@
 """Local search methods: hill climbing (paper Section 4.3) and simulated annealing."""
 
-from .annealing import (
-    SimulatedAnnealingImprover,
-    SimulatedAnnealingResult,
-    simulated_annealing,
-)
-from .comm_hill_climbing import (
-    CommHillClimbingResult,
-    CommScheduleImprover,
-    CommScheduleState,
-    comm_hill_climb,
-)
-from .hill_climbing import HillClimbingImprover, HillClimbingResult, hill_climb
-from .schedulers import (
-    CommHillClimbingScheduler,
-    HillClimbingScheduler,
-    SimulatedAnnealingScheduler,
-)
-from .state import LocalSearchState, Move
+from .._lazy import lazy_exports
 
-__all__ = [
-    "HillClimbingScheduler",
-    "SimulatedAnnealingScheduler",
-    "CommHillClimbingScheduler",
-    "simulated_annealing",
-    "SimulatedAnnealingResult",
-    "SimulatedAnnealingImprover",
-    "LocalSearchState",
-    "Move",
-    "hill_climb",
-    "HillClimbingResult",
-    "HillClimbingImprover",
-    "comm_hill_climb",
-    "CommHillClimbingResult",
-    "CommScheduleImprover",
-    "CommScheduleState",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".schedulers": (
+        "HillClimbingScheduler",
+        "SimulatedAnnealingScheduler",
+        "CommHillClimbingScheduler",
+    ),
+    ".annealing": (
+        "simulated_annealing",
+        "SimulatedAnnealingResult",
+        "SimulatedAnnealingImprover",
+    ),
+    ".state": ("LocalSearchState", "Move"),
+    ".hill_climbing": ("hill_climb", "HillClimbingResult", "HillClimbingImprover"),
+    ".comm_hill_climbing": (
+        "comm_hill_climb",
+        "CommHillClimbingResult",
+        "CommScheduleImprover",
+        "CommScheduleState",
+    ),
+})

@@ -1,37 +1,18 @@
 """The BSP+NUMA machine model, schedules and the cost function."""
 
-from .classical import ClassicalSchedule, classical_to_bsp
-from .comm import CommEntry, CommSchedule
-from .cost import CostBreakdown, evaluate, superstep_matrices
-from .inspect import (
-    SuperstepSummary,
-    describe_schedule,
-    schedule_to_text_gantt,
-    summarize_supersteps,
-)
-from .machine import BspMachine, MachineValidationError
-from .simulate import NodeExecution, PhaseInterval, ScheduleTimeline, simulate_timeline
-from .schedule import BspSchedule, ScheduleValidationError, legalize_superstep_assignment
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BspMachine",
-    "MachineValidationError",
-    "BspSchedule",
-    "ScheduleValidationError",
-    "legalize_superstep_assignment",
-    "CommSchedule",
-    "CommEntry",
-    "CostBreakdown",
-    "evaluate",
-    "superstep_matrices",
-    "SuperstepSummary",
-    "summarize_supersteps",
-    "describe_schedule",
-    "schedule_to_text_gantt",
-    "simulate_timeline",
-    "ScheduleTimeline",
-    "PhaseInterval",
-    "NodeExecution",
-    "ClassicalSchedule",
-    "classical_to_bsp",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".machine": ("BspMachine", "MachineValidationError"),
+    ".schedule": ("BspSchedule", "ScheduleValidationError", "legalize_superstep_assignment"),
+    ".comm": ("CommSchedule", "CommEntry"),
+    ".cost": ("CostBreakdown", "evaluate", "superstep_matrices"),
+    ".inspect": (
+        "SuperstepSummary",
+        "summarize_supersteps",
+        "describe_schedule",
+        "schedule_to_text_gantt",
+    ),
+    ".simulate": ("simulate_timeline", "ScheduleTimeline", "PhaseInterval", "NodeExecution"),
+    ".classical": ("ClassicalSchedule", "classical_to_bsp"),
+})

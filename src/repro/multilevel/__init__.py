@@ -1,22 +1,14 @@
 """Multilevel (coarsen–solve–refine) scheduling (paper Section 4.5)."""
 
-from .coarsen import (
-    CoarseningSequence,
-    ContractionRecord,
-    coarse_dag_from_partition,
-    coarsen_dag,
-)
-from .refine import RefinementConfig, project_schedule, uncoarsen_and_refine
-from .scheduler import MultilevelScheduler, multilevel_schedule
+from .._lazy import lazy_exports
 
-__all__ = [
-    "coarsen_dag",
-    "CoarseningSequence",
-    "ContractionRecord",
-    "coarse_dag_from_partition",
-    "project_schedule",
-    "uncoarsen_and_refine",
-    "RefinementConfig",
-    "MultilevelScheduler",
-    "multilevel_schedule",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".coarsen": (
+        "coarsen_dag",
+        "CoarseningSequence",
+        "ContractionRecord",
+        "coarse_dag_from_partition",
+    ),
+    ".refine": ("project_schedule", "uncoarsen_and_refine", "RefinementConfig"),
+    ".scheduler": ("MultilevelScheduler", "multilevel_schedule"),
+})

@@ -15,46 +15,32 @@ perturbs results.  Hooks read scheduler state, never advance an RNG, and no
 timing field reaches deterministic ``SolveResult`` output.
 """
 
-from .metrics import Counter, Gauge, Histogram, Metrics, percentiles, render_prometheus
-from .trace import (
-    NOOP_SPAN,
-    TRACE_SCHEMA,
-    Span,
-    Tracer,
-    active,
-    annotate,
-    enabled,
-    event,
-    install,
-    read_trace,
-    span,
-    tracing,
-    uninstall,
-    validate_trace,
-)
-from .traceview import render_trace_summary, summarize_trace
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "Metrics",
-    "percentiles",
-    "render_prometheus",
-    "NOOP_SPAN",
-    "TRACE_SCHEMA",
-    "Span",
-    "Tracer",
-    "active",
-    "annotate",
-    "enabled",
-    "event",
-    "install",
-    "read_trace",
-    "span",
-    "tracing",
-    "uninstall",
-    "validate_trace",
-    "render_trace_summary",
-    "summarize_trace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".metrics": (
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "Metrics",
+        "percentiles",
+        "render_prometheus",
+    ),
+    ".trace": (
+        "NOOP_SPAN",
+        "TRACE_SCHEMA",
+        "Span",
+        "Tracer",
+        "active",
+        "annotate",
+        "enabled",
+        "event",
+        "install",
+        "read_trace",
+        "span",
+        "tracing",
+        "uninstall",
+        "validate_trace",
+    ),
+    ".traceview": ("render_trace_summary", "summarize_trace"),
+})

@@ -1,15 +1,9 @@
 """The combined scheduling pipeline (paper Figures 3 and 4)."""
 
-from .adaptive import AdaptiveDecision, AdaptiveScheduler
-from .config import MultilevelConfig, PipelineConfig
-from .framework import FrameworkScheduler, PipelineResult, run_pipeline
+from .._lazy import lazy_exports
 
-__all__ = [
-    "PipelineConfig",
-    "MultilevelConfig",
-    "run_pipeline",
-    "PipelineResult",
-    "FrameworkScheduler",
-    "AdaptiveScheduler",
-    "AdaptiveDecision",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".config": ("PipelineConfig", "MultilevelConfig"),
+    ".framework": ("run_pipeline", "PipelineResult", "FrameworkScheduler"),
+    ".adaptive": ("AdaptiveScheduler", "AdaptiveDecision"),
+})

@@ -22,38 +22,24 @@ The subsystem is reachable as the registry entry ``portfolio(...)``::
     solve(SolveRequest(spec=spec, scheduler="portfolio(cache='/tmp/repro-cache')"))
 """
 
-from .cache import (
-    CACHE_FORMAT_VERSION,
-    CacheEntry,
-    SolutionCache,
-    default_cache_dir,
-    set_default_cache_dir,
-)
-from .features import InstanceFeatures, extract_features, instance_signature
-from .selector import (
-    DEFAULT_RACE_CANDIDATES,
-    PortfolioScheduler,
-    RaceOutcome,
-    SelectionRule,
-    RULES,
-    race,
-    select_scheduler,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CACHE_FORMAT_VERSION",
-    "CacheEntry",
-    "SolutionCache",
-    "default_cache_dir",
-    "set_default_cache_dir",
-    "InstanceFeatures",
-    "extract_features",
-    "instance_signature",
-    "DEFAULT_RACE_CANDIDATES",
-    "PortfolioScheduler",
-    "RaceOutcome",
-    "SelectionRule",
-    "RULES",
-    "race",
-    "select_scheduler",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".cache": (
+        "CACHE_FORMAT_VERSION",
+        "CacheEntry",
+        "SolutionCache",
+        "default_cache_dir",
+        "set_default_cache_dir",
+    ),
+    ".features": ("InstanceFeatures", "extract_features", "instance_signature"),
+    ".selector": (
+        "DEFAULT_RACE_CANDIDATES",
+        "PortfolioScheduler",
+        "RaceOutcome",
+        "SelectionRule",
+        "RULES",
+        "race",
+        "select_scheduler",
+    ),
+})

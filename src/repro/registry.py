@@ -20,6 +20,10 @@ The grammar is ``name`` or ``name(key=value, ...)``; values are integers,
 floats, booleans (``true``/``false``), ``none``, bracketed lists
 (``coarsening_ratios=[0.3, 0.15]``), and bare or quoted strings.  Names and
 table labels are case-insensitive everywhere.
+
+Registration is eager (every name, description and parameter tuple exists as
+soon as this module is imported), but each factory imports its scheduler
+class when it is called, so building one scheduler loads only its modules.
 """
 
 from __future__ import annotations
@@ -30,25 +34,7 @@ import re
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .baselines.cilk import CilkScheduler
-from .baselines.hdagg import HDaggScheduler
-from .baselines.list_schedulers import BlEstScheduler, EtfScheduler
-from .baselines.memory import MemoryAwareGreedyScheduler
-from .baselines.trivial import LevelRoundRobinScheduler, TrivialScheduler
-from .heuristics.bspg import BspGreedyScheduler
-from .heuristics.source import SourceScheduler
-from .ilp.full import IlpFullScheduler
-from .ilp.init import IlpInitScheduler
-from .localsearch.schedulers import (
-    CommHillClimbingScheduler,
-    HillClimbingScheduler,
-    SimulatedAnnealingScheduler,
-)
-from .multilevel.scheduler import MultilevelScheduler
-from .pipeline.adaptive import AdaptiveScheduler
 from .pipeline.config import MultilevelConfig, PipelineConfig
-from .pipeline.framework import FrameworkScheduler
-from .portfolio.selector import PortfolioScheduler
 from .scheduler import Scheduler
 
 __all__ = [
@@ -359,6 +345,8 @@ def make_scheduler(spec: str) -> Scheduler:
     numa_aware=False,
 )
 def _make_cilk(seed: int = 0) -> Scheduler:
+    from .baselines.cilk import CilkScheduler
+
     return CilkScheduler(seed=seed)
 
 
@@ -369,6 +357,8 @@ def _make_cilk(seed: int = 0) -> Scheduler:
     numa_aware=True,
 )
 def _make_bl_est() -> Scheduler:
+    from .baselines.list_schedulers import BlEstScheduler
+
     return BlEstScheduler()
 
 
@@ -379,6 +369,8 @@ def _make_bl_est() -> Scheduler:
     numa_aware=True,
 )
 def _make_etf() -> Scheduler:
+    from .baselines.list_schedulers import EtfScheduler
+
     return EtfScheduler()
 
 
@@ -389,6 +381,8 @@ def _make_etf() -> Scheduler:
     numa_aware=False,
 )
 def _make_hdagg(aggregation_factor: float = 2.0, balance_slack: float = 1.1) -> Scheduler:
+    from .baselines.hdagg import HDaggScheduler
+
     return HDaggScheduler(aggregation_factor=aggregation_factor, balance_slack=balance_slack)
 
 
@@ -399,6 +393,8 @@ def _make_hdagg(aggregation_factor: float = 2.0, balance_slack: float = 1.1) -> 
     numa_aware=False,
 )
 def _make_trivial() -> Scheduler:
+    from .baselines.trivial import TrivialScheduler
+
     return TrivialScheduler()
 
 
@@ -409,6 +405,8 @@ def _make_trivial() -> Scheduler:
     numa_aware=False,
 )
 def _make_greedy_mem(memory_bound: Optional[object] = None, policy: str = "est") -> Scheduler:
+    from .baselines.memory import MemoryAwareGreedyScheduler
+
     return MemoryAwareGreedyScheduler(memory_bound=memory_bound, policy=policy)
 
 
@@ -419,6 +417,8 @@ def _make_greedy_mem(memory_bound: Optional[object] = None, policy: str = "est")
     numa_aware=False,
 )
 def _make_level_rr() -> Scheduler:
+    from .baselines.trivial import LevelRoundRobinScheduler
+
     return LevelRoundRobinScheduler()
 
 
@@ -430,6 +430,8 @@ def _make_level_rr() -> Scheduler:
     numa_aware=False,
 )
 def _make_bspg(idle_fraction: float = 0.5) -> Scheduler:
+    from .heuristics.bspg import BspGreedyScheduler
+
     return BspGreedyScheduler(idle_fraction=idle_fraction)
 
 
@@ -440,6 +442,8 @@ def _make_bspg(idle_fraction: float = 0.5) -> Scheduler:
     numa_aware=False,
 )
 def _make_source() -> Scheduler:
+    from .heuristics.source import SourceScheduler
+
     return SourceScheduler()
 
 
@@ -455,6 +459,8 @@ def _make_ilp_init(
     time_limit: Optional[float] = 15.0,
     backend: str = "highs",
 ) -> Scheduler:
+    from .ilp.init import IlpInitScheduler
+
     return IlpInitScheduler(
         max_variables=max_variables,
         supersteps_per_batch=supersteps_per_batch,
@@ -476,6 +482,8 @@ def _make_ilp_full(
     backend: str = "highs",
     init: str = "bspg",
 ) -> Scheduler:
+    from .ilp.full import IlpFullScheduler
+
     return IlpFullScheduler(
         initializer=make_scheduler(init),
         time_limit=time_limit,
@@ -499,6 +507,8 @@ def _make_hc(
     init: str = "bspg",
     memory_bound: Optional[object] = None,
 ) -> Scheduler:
+    from .localsearch.schedulers import HillClimbingScheduler
+
     return HillClimbingScheduler(
         variant=variant,
         max_moves=max_moves,
@@ -521,6 +531,8 @@ def _make_hccs(
     init: str = "bspg",
     memory_bound: Optional[object] = None,
 ) -> Scheduler:
+    from .localsearch.schedulers import CommHillClimbingScheduler
+
     return CommHillClimbingScheduler(
         max_moves=max_moves, time_limit=time_limit, init=init, memory_bound=memory_bound
     )
@@ -541,6 +553,8 @@ def _make_sa(
     init: str = "bspg",
     memory_bound: Optional[object] = None,
 ) -> Scheduler:
+    from .localsearch.schedulers import SimulatedAnnealingScheduler
+
     return SimulatedAnnealingScheduler(
         steps=steps,
         cooling=cooling,
@@ -571,6 +585,8 @@ _PIPELINE_PARAMS = ("fast", "preset") + tuple(sorted(PipelineConfig.field_names(
     parameters=_PIPELINE_PARAMS,
 )
 def _make_framework(fast: bool = True, preset: Optional[str] = None, **overrides: Any) -> Scheduler:
+    from .pipeline.framework import FrameworkScheduler
+
     return FrameworkScheduler(_pipeline_config(fast, preset, overrides))
 
 
@@ -584,6 +600,8 @@ def _make_framework(fast: bool = True, preset: Optional[str] = None, **overrides
 def _make_framework_full(
     fast: bool = False, preset: Optional[str] = None, **overrides: Any
 ) -> Scheduler:
+    from .pipeline.framework import FrameworkScheduler
+
     return FrameworkScheduler(_pipeline_config(fast, preset, overrides))
 
 
@@ -607,6 +625,8 @@ def _multilevel_config(
     parameters=_MULTILEVEL_PARAMS,
 )
 def _make_multilevel(fast: bool = True, preset: Optional[str] = None, **overrides: Any) -> Scheduler:
+    from .multilevel.scheduler import MultilevelScheduler
+
     return MultilevelScheduler(_multilevel_config(fast, preset, overrides))
 
 
@@ -620,6 +640,8 @@ def _make_multilevel(fast: bool = True, preset: Optional[str] = None, **override
 def _make_multilevel_full(
     fast: bool = False, preset: Optional[str] = None, **overrides: Any
 ) -> Scheduler:
+    from .multilevel.scheduler import MultilevelScheduler
+
     return MultilevelScheduler(_multilevel_config(fast, preset, overrides))
 
 
@@ -631,6 +653,8 @@ def _make_multilevel_full(
     numa_aware=True,
 )
 def _make_adaptive(ccr_threshold: float = 8.0, margin: float = 0.5) -> Scheduler:
+    from .pipeline.adaptive import AdaptiveScheduler
+
     return AdaptiveScheduler(ccr_threshold=ccr_threshold, margin=margin)
 
 
@@ -653,6 +677,8 @@ def _make_portfolio(
     seed: Optional[int] = None,
     jobs: Optional[int] = None,
 ) -> Scheduler:
+    from .portfolio.selector import PortfolioScheduler
+
     return PortfolioScheduler(
         mode=mode,
         budget=budget,

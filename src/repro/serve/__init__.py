@@ -32,35 +32,21 @@ Quick start::
     result = client.solve(SolveRequest(spec=spec, scheduler="hc"))
 """
 
-from .client import ServeError, ServiceClient, connect
-from .protocol import (
-    ERROR_CODES,
-    E_INTERNAL,
-    E_INVALID_REQUEST,
-    E_INVALID_SPEC,
-    E_QUEUE_FULL,
-    E_SCHEDULER,
-    E_SHUTTING_DOWN,
-    E_TIMEOUT,
-    PROTOCOL,
-    ProtocolError,
-)
-from .server import ServeConfig, SolveServer
+from .._lazy import lazy_exports
 
-__all__ = [
-    "PROTOCOL",
-    "ERROR_CODES",
-    "E_INTERNAL",
-    "E_INVALID_REQUEST",
-    "E_INVALID_SPEC",
-    "E_QUEUE_FULL",
-    "E_SCHEDULER",
-    "E_SHUTTING_DOWN",
-    "E_TIMEOUT",
-    "ProtocolError",
-    "ServeConfig",
-    "SolveServer",
-    "ServeError",
-    "ServiceClient",
-    "connect",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".protocol": (
+        "PROTOCOL",
+        "ERROR_CODES",
+        "E_INTERNAL",
+        "E_INVALID_REQUEST",
+        "E_INVALID_SPEC",
+        "E_QUEUE_FULL",
+        "E_SCHEDULER",
+        "E_SHUTTING_DOWN",
+        "E_TIMEOUT",
+        "ProtocolError",
+    ),
+    ".server": ("ServeConfig", "SolveServer"),
+    ".client": ("ServeError", "ServiceClient", "connect"),
+})
