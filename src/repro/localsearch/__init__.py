@@ -8,17 +8,12 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
         "SimulatedAnnealingScheduler",
         "CommHillClimbingScheduler",
     ),
-    ".annealing": (
-        "simulated_annealing",
-        "SimulatedAnnealingResult",
-        "SimulatedAnnealingImprover",
-    ),
+    ".annealing": ("simulated_annealing", "SimulatedAnnealingResult"),
     ".state": ("LocalSearchState", "Move"),
-    ".hill_climbing": ("hill_climb", "HillClimbingResult", "HillClimbingImprover"),
+    ".hill_climbing": ("hill_climb", "HillClimbingResult"),
     ".comm_hill_climbing": (
         "comm_hill_climb",
         "CommHillClimbingResult",
-        "CommScheduleImprover",
         "CommScheduleState",
     ),
 })

@@ -25,7 +25,7 @@ from ..model.schedule import BspSchedule
 from ..obs import trace as _trace
 from .state import LocalSearchState
 
-__all__ = ["SimulatedAnnealingResult", "simulated_annealing", "SimulatedAnnealingImprover"]
+__all__ = ["SimulatedAnnealingResult", "simulated_annealing"]
 
 
 @dataclass
@@ -155,36 +155,3 @@ def _simulated_annealing(
         )
     return result
 
-
-class SimulatedAnnealingImprover:
-    """Improver wrapper so annealing can replace HC in custom pipelines."""
-
-    name = "SA"
-
-    def __init__(
-        self,
-        steps: int = 2000,
-        cooling: float = 0.995,
-        initial_temperature: Optional[float] = None,
-        time_limit: Optional[float] = None,
-        seed: Optional[int] = 0,
-    ) -> None:
-        self.steps = steps
-        self.cooling = cooling
-        self.initial_temperature = initial_temperature
-        self.time_limit = time_limit
-        self.seed = seed
-
-    def improve(self, schedule: BspSchedule) -> BspSchedule:
-        """Return the annealed schedule (never worse than the input)."""
-        result = simulated_annealing(
-            schedule,
-            steps=self.steps,
-            cooling=self.cooling,
-            initial_temperature=self.initial_temperature,
-            time_limit=self.time_limit,
-            seed=self.seed,
-        )
-        if result.final_cost <= schedule.cost():
-            return result.schedule
-        return schedule

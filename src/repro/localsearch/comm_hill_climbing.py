@@ -18,10 +18,8 @@ superstep, bit for bit), and the whole window of a transfer is probed in one
 vectorized shot (:meth:`CommScheduleState.probe_window`): a transfer adds
 volume to exactly one send and one receive cell, so the h-relation of a
 candidate phase is ``max(h(s), send[s, p] + vol, recv[s, q] + vol)`` —
-no matrix mutation, no apply/revert round trip.  Earlier revisions moved
-each trial onto the matrices and reverted on failure, which both paid two
-row refreshes per trial and accumulated ``(a + v) - v`` float residue in the
-cells; probing against the pristine state is faster and exact.
+no matrix mutation, no apply/revert round trip.  Only an improving move is
+written into the matrices (:meth:`CommScheduleState.move`).
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from ..model.schedule import BspSchedule
 from ..obs import trace as _trace
 from .engine import RECV, SEND, IncrementalCostEngine
 
-__all__ = ["CommScheduleState", "CommHillClimbingResult", "comm_hill_climb", "CommScheduleImprover"]
+__all__ = ["CommScheduleState", "CommHillClimbingResult", "comm_hill_climb"]
 
 _EPS = 1e-9
 
@@ -139,14 +137,14 @@ class CommScheduleState:
         p_from = self._proc_list[u]
         volume = self._volume(u, q)
         self.current[(u, q)] = new_step
-        return self.engine.apply_cells(
-            [
-                (SEND, old, p_from, -volume),
-                (RECV, old, q, -volume),
-                (SEND, new_step, p_from, volume),
-                (RECV, new_step, q, volume),
-            ]
-        )
+        engine = self.engine
+        mats = engine.mats
+        mats[SEND, old, p_from] -= volume
+        mats[RECV, old, q] -= volume
+        mats[SEND, new_step, p_from] += volume
+        mats[RECV, new_step, q] += volume
+        engine.refresh_rows((old, new_step))
+        return engine.total_cost
 
     def probe_window(self, u: int, q: int) -> np.ndarray:
         """Total h-cost if ``u -> q`` moved to each phase of its window.
@@ -292,18 +290,3 @@ def _comm_hill_climb(
         )
     return result
 
-
-class CommScheduleImprover:
-    """Object-style wrapper so HCcs can be plugged into the pipeline config."""
-
-    name = "HCcs"
-
-    def __init__(self, max_moves: Optional[int] = None, time_limit: Optional[float] = None) -> None:
-        self.max_moves = max_moves
-        self.time_limit = time_limit
-
-    def improve(self, schedule: BspSchedule) -> BspSchedule:
-        """Return the schedule with an optimized explicit communication schedule."""
-        return comm_hill_climb(
-            schedule, max_moves=self.max_moves, time_limit=self.time_limit
-        ).schedule

@@ -5,31 +5,29 @@ Every local search in this package maintains the same redundant state: the
 cost vector derived from them through
 :func:`repro.model.cost.superstep_row_costs`, and the running total.  This
 module owns that state once, so that applying a move is a constant-size
-delta (a handful of matrix cells plus a refresh of the touched rows) instead
-of a superstep-matrix rebuild, and so that a delta can be *reported* without
-being applied at all (:meth:`IncrementalCostEngine.probe_cells`).
+delta instead of a superstep-matrix rebuild.  There is one mutation path:
+the caller writes the changed cells into :attr:`IncrementalCostEngine.mats`
+and then calls :meth:`IncrementalCostEngine.refresh_rows` with the touched
+superstep rows.
 
 The three matrices are stored stacked in one ``(3, S, P)`` tensor
-(:attr:`IncrementalCostEngine.mats`), so that the probe hot path reads the
-affected rows of all three with a single fancy index and re-costs them with
-the fused kernel :func:`repro.model.cost.superstep_block_costs` — bitwise
-the same result as three separate reads plus
-:func:`~repro.model.cost.superstep_row_costs`, at a third of the numpy
-call overhead.
+(indexed by :data:`WORK` / :data:`SEND` / :data:`RECV`), so that the probe
+hot path reads the affected rows of all three with a single fancy index and
+re-costs them with the fused kernel
+:func:`repro.model.cost.superstep_block_costs` — bitwise the same result as
+three separate reads plus :func:`~repro.model.cost.superstep_row_costs`, at
+a third of the numpy call overhead.
 
 :class:`~repro.localsearch.state.LocalSearchState` (used by hill climbing
 and simulated annealing) and
 :class:`~repro.localsearch.comm_hill_climbing.CommScheduleState` both sit on
 this engine; the cost formula itself stays in :mod:`repro.model.cost`, the
-single source of truth.  Applied transactions are journaled, so a caller can
-roll back the most recent ones (:meth:`IncrementalCostEngine.undo`) — the
-building block for annealing rejections, schedule repair and future online
-(re-)scheduling modes.
+single source of truth.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional
 
 import numpy as np
 
@@ -37,10 +35,8 @@ from ..model.cost import superstep_block_costs
 
 __all__ = ["IncrementalCostEngine", "WORK", "SEND", "RECV"]
 
-#: Matrix selectors for cell deltas: ``(matrix, row, col, value)`` tuples.
+#: Indices of the work / send / receive matrices in the stacked ``mats``.
 WORK, SEND, RECV = 0, 1, 2
-
-Cell = Tuple[int, int, int, float]
 
 
 class IncrementalCostEngine:
@@ -87,11 +83,8 @@ class IncrementalCostEngine:
         #: cheaper on a list than on the array.
         self.step_cost_list: List[float] = self.step_cost.tolist()
         self.total_cost = float(self.step_cost.sum())
-        #: Journal of applied transactions (lists of cells), newest last.
-        self._journal: List[List[Cell]] = []
-        #: Monotone count of applied transactions (never decremented by
-        #: :meth:`undo`) — the "engine transaction" figure of convergence
-        #: telemetry spans.
+        #: Number of :meth:`refresh_rows` calls, i.e. of applied moves — the
+        #: "engine transaction" figure of convergence telemetry spans.
         self.transactions: int = 0
 
     # ------------------------------------------------------------------
@@ -130,9 +123,11 @@ class IncrementalCostEngine:
     def refresh_rows(self, rows: Iterable[int]) -> None:
         """Recompute the cost of the given superstep rows and the total.
 
-        Out-of-range rows are ignored so callers can pass raw ``step - 1`` /
-        ``step + 1`` candidates without clamping.
+        Call once per applied move, after writing its cells into
+        :attr:`mats`.  Out-of-range rows are ignored so callers can pass raw
+        ``step - 1`` / ``step + 1`` candidates without clamping.
         """
+        self.transactions += 1
         idx = np.unique(np.fromiter(rows, dtype=np.int64))
         idx = idx[(idx >= 0) & (idx < self.S)]
         if idx.size == 0:
@@ -143,85 +138,6 @@ class IncrementalCostEngine:
         mirror = self.step_cost_list
         for r, c in zip(idx.tolist(), new.tolist()):
             mirror[r] = c
-
-    # ------------------------------------------------------------------
-    # Transactions
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _check_rows(cells: Sequence[Cell]) -> None:
-        """Reject negative superstep rows before any matrix is touched.
-
-        A negative row would silently wrap the numpy cell write to the last
-        superstep while :meth:`refresh_rows` filters the same row out —
-        desynchronizing ``total_cost`` from the matrices with no error.
-        """
-        for cell in cells:
-            if cell[1] < 0:
-                raise ValueError(
-                    f"negative superstep row {cell[1]} in cell delta {cell!r}; "
-                    "rows must be >= 0"
-                )
-
-    def apply_cells(self, cells: Sequence[Cell]) -> float:
-        """Apply one transaction of cell deltas; return the new total cost.
-
-        Each cell is ``(matrix, row, col, value)`` with ``matrix`` one of
-        :data:`WORK` / :data:`SEND` / :data:`RECV`; ``value`` is added to the
-        cell.  The transaction is journaled for :meth:`undo`.  A cell with a
-        negative ``row`` raises :class:`ValueError` and leaves the engine
-        untouched.
-        """
-        if cells:
-            self._check_rows(cells)
-            self.ensure_capacity(max(cell[1] for cell in cells))
-        mats = self.mats
-        for mat, row, col, val in cells:
-            mats[mat, row, col] += val
-        self._journal.append(list(cells))
-        self.transactions += 1
-        self.refresh_rows(cell[1] for cell in cells)
-        return self.total_cost
-
-    def undo(self) -> float:
-        """Roll back the most recent :meth:`apply_cells` transaction."""
-        if not self._journal:
-            raise IndexError("no transaction to undo")
-        cells = self._journal.pop()
-        mats = self.mats
-        for mat, row, col, val in cells:
-            mats[mat, row, col] -= val
-        self.refresh_rows(cell[1] for cell in cells)
-        return self.total_cost
-
-    @property
-    def journal_depth(self) -> int:
-        """Number of undoable transactions currently journaled."""
-        return len(self._journal)
-
-    # ------------------------------------------------------------------
-    # Probing (delta without mutation)
-    # ------------------------------------------------------------------
-    def probe_cells(self, cells: Sequence[Cell]) -> float:
-        """Cost delta :meth:`apply_cells` would cause, without applying it.
-
-        The affected rows are copied, the deltas scattered into the copies,
-        and only those rows re-costed — the superstep matrices are never
-        rebuilt and the engine state is unchanged.  A cell with a negative
-        ``row`` raises :class:`ValueError` (the same contract as
-        :meth:`apply_cells`, instead of an incidental ``KeyError``).
-        """
-        if not cells:
-            return 0.0
-        self._check_rows(cells)
-        self.ensure_capacity(max(cell[1] for cell in cells))
-        rows = np.unique(np.fromiter((cell[1] for cell in cells), dtype=np.int64))
-        rows = rows[(rows >= 0) & (rows < self.S)]
-        ridx = {int(r): i for i, r in enumerate(rows)}
-        blocks = self.mats[:, rows]
-        for mat, row, col, val in cells:
-            blocks[mat, ridx[row], col] += val
-        new = superstep_block_costs(blocks, self.g, self.l)
-        return float(new.sum() - self.step_cost[rows].sum())
 
     # ------------------------------------------------------------------
     # Introspection / verification

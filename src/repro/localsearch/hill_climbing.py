@@ -47,7 +47,7 @@ from ..model.schedule import BspSchedule
 from ..obs import trace as _trace
 from .state import LocalSearchState
 
-__all__ = ["HillClimbingResult", "hill_climb", "HillClimbingImprover"]
+__all__ = ["HillClimbingResult", "hill_climb"]
 
 _EPS = 1e-9
 
@@ -323,31 +323,3 @@ def _hill_climb(
         )
     return result
 
-
-class HillClimbingImprover:
-    """Object-style wrapper so HC can be plugged into the pipeline config."""
-
-    name = "HC"
-
-    def __init__(
-        self,
-        variant: str = "first",
-        max_moves: Optional[int] = None,
-        max_passes: Optional[int] = None,
-        time_limit: Optional[float] = None,
-    ) -> None:
-        self.variant = variant
-        self.max_moves = max_moves
-        self.max_passes = max_passes
-        self.time_limit = time_limit
-
-    def improve(self, schedule: BspSchedule) -> BspSchedule:
-        """Return the hill-climbed schedule (never worse than the input)."""
-        result = hill_climb(
-            schedule,
-            variant=self.variant,
-            max_moves=self.max_moves,
-            max_passes=self.max_passes,
-            time_limit=self.time_limit,
-        )
-        return result.schedule

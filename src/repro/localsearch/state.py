@@ -122,11 +122,10 @@ class LocalSearchState:
         slack = max_step + 1 + self._SLACK - work.shape[0]
         self.engine = IncrementalCostEngine(work, send, recv, self.g, self.l, slack=slack)
 
-        # Dense successor-step tables replacing the per-(node, processor)
-        # Counter multisets of earlier revisions.  They are built vectorized
-        # but kept as plain nested python lists afterwards: every hot-path
-        # access is a scalar read/write, which python lists serve ~10x
-        # faster than numpy fancy scalar indexing.
+        # Dense per-(node, processor) successor-step tables.  They are built
+        # vectorized but kept as plain nested python lists afterwards: every
+        # hot-path access is a scalar read/write, which python lists serve
+        # ~10x faster than numpy fancy scalar indexing.
         succ_min = np.full((n, self.P), _NO_STEP, dtype=np.int64)
         succ_min_cnt = np.zeros((n, self.P), dtype=np.int64)
         succ_cnt = np.zeros((n, self.P), dtype=np.int64)
@@ -149,10 +148,6 @@ class LocalSearchState:
         self._hi: Optional[np.ndarray] = None
         self._bounds_dirty = np.zeros(n, dtype=bool)
 
-        #: Superstep rows read by the most recent :meth:`move_deltas` probe
-        #: (the probe's delta is a pure function of these rows plus the
-        #: probed node's 2-hop neighbourhood assignments).
-        self.last_probe_rows: np.ndarray = _EMPTY_ROWS
         #: Superstep rows whose matrices the most recent :meth:`apply_move`
         #: changed (unique, within range).
         self.last_touched_rows: np.ndarray = _EMPTY_ROWS
@@ -188,9 +183,6 @@ class LocalSearchState:
     def memory_bounded(self) -> bool:
         """Whether the machine carries per-processor memory bounds."""
         return self._mem_bounds is not None
-
-    def _ensure_capacity(self, s: int) -> None:
-        self.engine.ensure_capacity(s)
 
     # ------------------------------------------------------------------
     # Low-level helpers
@@ -436,7 +428,8 @@ class LocalSearchState:
         predecessors.  Moving ``v`` therefore only affects probes of ``v``
         itself, its neighbours, and its siblings-through-a-shared-parent;
         all other probe results stay valid as long as the superstep rows
-        they read (:attr:`last_probe_rows`) are untouched.
+        they read (the per-item rows :meth:`move_deltas_many` returns) are
+        untouched.
         """
         preds = self._pred_indices[self._pred_indptr[v]:self._pred_indptr[v + 1]]
         parts = [
@@ -790,9 +783,7 @@ class LocalSearchState:
         """
         if not moves:
             return np.zeros(0, dtype=np.float64)
-        deltas, rows = self.move_deltas_many([(v, moves)])
-        self.last_probe_rows = rows[0]
-        return deltas[0]
+        return self.move_deltas_many([(v, moves)])[0][0]
 
     def move_delta(self, v: int, new_proc: int, new_step: int) -> float:
         """Cost change the move would cause, leaving the state unchanged."""

@@ -9,6 +9,6 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
         "ContractionRecord",
         "coarse_dag_from_partition",
     ),
-    ".refine": ("project_schedule", "uncoarsen_and_refine", "RefinementConfig"),
+    ".refine": ("project_schedule", "uncoarsen_and_refine"),
     ".scheduler": ("MultilevelScheduler", "multilevel_schedule"),
 })

@@ -10,9 +10,6 @@ to the newly revealed structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from ..localsearch.hill_climbing import hill_climb
@@ -65,46 +62,35 @@ def project_schedule(
     return BspSchedule(fine_dag, machine, proc, step)
 
 
-@dataclass
-class RefinementConfig:
-    """Tuning knobs of the uncoarsening phase."""
-
-    refine_interval: int = 5
-    hc_moves_per_refinement: int = 100
-    hc_variant: str = "first"
-
-
 def uncoarsen_and_refine(
     sequence: CoarseningSequence,
     machine: BspMachine,
     coarse_schedule: BspSchedule,
     *,
-    config: Optional[RefinementConfig] = None,
+    refine_interval: int = 5,
+    hc_moves_per_refinement: int = 100,
 ) -> BspSchedule:
     """Run the full uncoarsening + refinement phase.
 
     Starts from a schedule of the coarsest DAG (after all recorded
-    contractions) and returns a schedule of the *original* DAG.
+    contractions) and returns a schedule of the *original* DAG.  Every
+    ``refine_interval`` uncontractions, first-improvement hill climbing
+    runs for at most ``hc_moves_per_refinement`` moves (the defaults are
+    those of :class:`~repro.pipeline.config.MultilevelConfig`).
     """
-    if config is None:
-        config = RefinementConfig()
     total = sequence.num_contractions
     current_steps = total
     current_schedule = coarse_schedule
 
     while current_steps > 0:
-        next_steps = max(0, current_steps - max(config.refine_interval, 1))
+        next_steps = max(0, current_steps - max(refine_interval, 1))
         with _trace.span(
             "refine_level", contractions=current_steps, next=next_steps
         ) as level_span:
             projected = project_schedule(
                 sequence, machine, current_schedule, current_steps, next_steps
             )
-            result = hill_climb(
-                projected,
-                variant=config.hc_variant,
-                max_moves=config.hc_moves_per_refinement,
-            )
+            result = hill_climb(projected, max_moves=hc_moves_per_refinement)
             if _trace.enabled():
                 level_span.annotate(
                     nodes=projected.dag.n, cost=result.final_cost

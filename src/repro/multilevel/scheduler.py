@@ -31,7 +31,7 @@ from ..pipeline.config import MultilevelConfig
 from ..pipeline.framework import run_pipeline
 from ..scheduler import Scheduler, SchedulingError
 from .coarsen import coarsen_dag
-from .refine import RefinementConfig, uncoarsen_and_refine
+from .refine import uncoarsen_and_refine
 
 __all__ = ["MultilevelScheduler", "multilevel_schedule"]
 
@@ -62,10 +62,6 @@ def _multilevel_schedule(
         machine = machine.with_memory_bound(config.memory_bound)
     bounded = machine.has_memory_bounds
     base_config = config.base_pipeline.without_ilp_cs()
-    refinement = RefinementConfig(
-        refine_interval=config.refine_interval,
-        hc_moves_per_refinement=config.hc_moves_per_refinement,
-    )
 
     # The fully coarsened limit of the method is a single cluster, whose
     # schedule is exactly the trivial sequential one; include it as a
@@ -120,7 +116,11 @@ def _multilevel_schedule(
                     continue
             with _trace.span("refine"):
                 refined = uncoarsen_and_refine(
-                    sequence, machine, coarse_schedule, config=refinement
+                    sequence,
+                    machine,
+                    coarse_schedule,
+                    refine_interval=config.refine_interval,
+                    hc_moves_per_refinement=config.hc_moves_per_refinement,
                 )
 
             # Communication scheduling is run on the original DAG only — the

@@ -4,7 +4,7 @@ import pytest
 
 from repro.baselines.trivial import LevelRoundRobinScheduler
 from repro.graphs.dag import ComputationalDAG
-from repro.localsearch.annealing import SimulatedAnnealingImprover, simulated_annealing
+from repro.localsearch.annealing import simulated_annealing
 from repro.localsearch.hill_climbing import hill_climb
 from repro.model.schedule import BspSchedule
 
@@ -58,7 +58,7 @@ class TestSimulatedAnnealing:
 
     def test_improver_wrapper(self, layered_dag, machine4):
         initial = LevelRoundRobinScheduler().schedule(layered_dag, machine4)
-        improved = SimulatedAnnealingImprover(steps=300, seed=2).improve(initial)
+        improved = simulated_annealing(initial, steps=300, seed=2).schedule
         assert improved.is_valid()
         assert improved.cost() <= initial.cost() + 1e-9
 

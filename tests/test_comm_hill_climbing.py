@@ -5,11 +5,7 @@ import pytest
 
 from repro.baselines.hdagg import HDaggScheduler
 from repro.graphs.dag import ComputationalDAG
-from repro.localsearch.comm_hill_climbing import (
-    CommScheduleImprover,
-    CommScheduleState,
-    comm_hill_climb,
-)
+from repro.localsearch.comm_hill_climbing import CommScheduleState, comm_hill_climb
 from repro.model.machine import BspMachine
 from repro.model.schedule import BspSchedule
 
@@ -100,7 +96,7 @@ class TestCommHillClimb:
 
     def test_improver_wrapper(self, exp_small, numa_machine):
         sched = HDaggScheduler().schedule(exp_small, numa_machine)
-        improved = CommScheduleImprover().improve(sched)
+        improved = comm_hill_climb(sched).schedule
         assert improved.is_valid()
         assert improved.cost() <= sched.cost() + 1e-9
 

@@ -6,7 +6,7 @@ import pytest
 from repro.baselines.cilk import CilkScheduler
 from repro.baselines.trivial import LevelRoundRobinScheduler
 from repro.graphs.dag import ComputationalDAG
-from repro.localsearch.hill_climbing import HillClimbingImprover, hill_climb
+from repro.localsearch.hill_climbing import hill_climb
 from repro.model.schedule import BspSchedule
 
 
@@ -73,8 +73,7 @@ class TestVariants:
 class TestImproverWrapper:
     def test_improver_returns_valid_not_worse(self, exp_small, machine4):
         initial = CilkScheduler(seed=0).schedule(exp_small, machine4)
-        improver = HillClimbingImprover(max_passes=5)
-        improved = improver.improve(initial)
+        improved = hill_climb(initial, max_passes=5).schedule
         assert improved.is_valid()
         assert improved.cost() <= initial.cost() + 1e-9
 

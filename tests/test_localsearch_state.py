@@ -124,7 +124,7 @@ class TestIncrementalCost:
         state = LocalSearchState(sched)
         last = 4  # the chain's sink
         target_step = state.S + 2  # beyond current capacity
-        state._ensure_capacity(target_step)
+        state.engine.ensure_capacity(target_step)
         assert state.S > target_step
 
     def test_to_schedule_is_valid_and_costs_match(self, layered_dag, machine4):

@@ -11,7 +11,7 @@ from repro.multilevel.coarsen import (
     coarse_dag_from_partition,
     coarsen_dag,
 )
-from repro.multilevel.refine import RefinementConfig, project_schedule, uncoarsen_and_refine
+from repro.multilevel.refine import project_schedule, uncoarsen_and_refine
 from repro.multilevel.scheduler import MultilevelScheduler, multilevel_schedule
 from repro.pipeline.config import MultilevelConfig, PipelineConfig
 
@@ -103,7 +103,8 @@ class TestProjectionAndRefinement:
             seq,
             machine4,
             coarse_schedule,
-            config=RefinementConfig(refine_interval=5, hc_moves_per_refinement=20),
+            refine_interval=5,
+            hc_moves_per_refinement=20,
         )
         assert refined.dag is exp_small
         assert refined.is_valid()

@@ -455,15 +455,29 @@ class TestConvergenceTelemetry:
         assert probes > 0
         assert discarded / probes < 0.3
 
-    def test_comm_hill_climb_reports_engine_transactions(self, layered_dag, machine4):
-        initial = LevelRoundRobinScheduler().schedule(layered_dag, machine4)
+    @pytest.mark.parametrize(
+        "search, span_name, applied",
+        [
+            (lambda s: hill_climb(s), "hill_climb", "moves"),
+            (lambda s: simulated_annealing(s, steps=500, seed=0), "simulated_annealing", "accepted"),
+            (lambda s: comm_hill_climb(s, max_moves=50), "comm_hill_climb", "moves"),
+        ],
+        ids=["hc", "sa", "hccs"],
+    )
+    def test_comm_hill_climb_reports_engine_transactions(
+        self, layered_dag, machine4, search, span_name, applied
+    ):
+        """Every applied move is one engine transaction, in every local search."""
+        initial = CilkScheduler(seed=0).schedule(layered_dag, machine4)
         with tracing() as tracer:
-            comm_hill_climb(initial, max_moves=50)
-        [span] = [r for r in tracer.records() if r["name"] == "comm_hill_climb"]
-        assert span["attrs"]["engine_transactions"] >= 0
-        for event in span["events"]:
-            assert event["name"] == "pass"
-            assert "h_cost" in event
+            search(initial)
+        [span] = [r for r in tracer.records() if r["name"] == span_name]
+        assert span["attrs"][applied] > 0
+        assert span["attrs"]["engine_transactions"] == span["attrs"][applied]
+        if span_name == "comm_hill_climb":
+            for event in span["events"]:
+                assert event["name"] == "pass"
+                assert "h_cost" in event
 
     def test_annealing_samples_improvements(self, layered_dag, machine4):
         initial = LevelRoundRobinScheduler().schedule(layered_dag, machine4)
