@@ -4,11 +4,10 @@ from .._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     ".model": ("IlpModel", "Constraint", "INF"),
-    ".solver": ("solve", "solve_with_highs", "SolverResult", "SolverStatus"),
-    ".bnb": ("solve_branch_and_bound",),
+    ".solver": ("solve", "SolverResult", "SolverStatus"),
     ".formulation": ("BspIlpFormulation", "build_bsp_ilp", "estimate_variable_count"),
     ".full": ("IlpFullScheduler", "solve_full_ilp"),
-    ".commsched": ("CommScheduleIlpImprover", "solve_comm_schedule_ilp"),
+    ".commsched": ("solve_comm_schedule_ilp",),
     ".partial": ("PartialIlpImprover", "superstep_windows"),
     ".init": ("IlpInitScheduler", "topological_batches"),
 })

@@ -18,14 +18,13 @@ from ..model.schedule import BspSchedule
 from .model import IlpModel
 from .solver import solve
 
-__all__ = ["solve_comm_schedule_ilp", "CommScheduleIlpImprover"]
+__all__ = ["solve_comm_schedule_ilp"]
 
 
 def solve_comm_schedule_ilp(
     schedule: BspSchedule,
     *,
     time_limit: Optional[float] = None,
-    backend: str = "highs",
 ) -> Optional[BspSchedule]:
     """Optimize Gamma for a fixed (pi, tau); returns ``None`` if no solution.
 
@@ -86,7 +85,7 @@ def solve_comm_schedule_ilp(
     for s in range(S):
         model.add_objective_term(h_var[s], g)
 
-    result = solve(model, time_limit=time_limit, backend=backend)
+    result = solve(model, time_limit=time_limit)
     if not result.has_solution:
         return None
 
@@ -98,22 +97,3 @@ def solve_comm_schedule_ilp(
     out.comm = comm
     return out
 
-
-class CommScheduleIlpImprover:
-    """Improver wrapper: returns the input schedule if the ILP does not help."""
-
-    name = "ILPcs"
-
-    def __init__(self, time_limit: Optional[float] = 30.0, backend: str = "highs") -> None:
-        self.time_limit = time_limit
-        self.backend = backend
-
-    def improve(self, schedule: BspSchedule) -> BspSchedule:
-        improved = solve_comm_schedule_ilp(
-            schedule, time_limit=self.time_limit, backend=self.backend
-        )
-        if improved is None:
-            return schedule
-        if improved.cost() <= schedule.cost():
-            return improved
-        return schedule

@@ -29,7 +29,6 @@ def solve_full_ilp(
     max_supersteps: int,
     *,
     time_limit: Optional[float] = None,
-    backend: str = "highs",
 ) -> Optional[BspSchedule]:
     """Solve the full problem with at most ``max_supersteps`` supersteps.
 
@@ -44,7 +43,7 @@ def solve_full_ilp(
         s_last=max(max_supersteps, 1) - 1,
         name="ILPfull",
     )
-    result = solve(form.model, time_limit=time_limit, backend=backend)
+    result = solve(form.model, time_limit=time_limit)
     if not result.has_solution:
         return None
     schedule = form.extract_schedule(result)
@@ -70,7 +69,6 @@ class IlpFullScheduler(Scheduler):
         *,
         time_limit: Optional[float] = 60.0,
         max_variables: int = DEFAULT_MAX_VARIABLES,
-        backend: str = "highs",
     ) -> None:
         if initializer is None:
             from ..heuristics.bspg import BspGreedyScheduler
@@ -79,7 +77,6 @@ class IlpFullScheduler(Scheduler):
         self.initializer = initializer
         self.time_limit = time_limit
         self.max_variables = max_variables
-        self.backend = backend
 
     def applicable(self, dag: ComputationalDAG, machine: BspMachine, num_supersteps: int) -> bool:
         """Whether the estimated ILP size is within the configured limit."""
@@ -90,13 +87,7 @@ class IlpFullScheduler(Scheduler):
         num_supersteps = max(initial.num_supersteps, 1)
         if not self.applicable(dag, machine, num_supersteps):
             return initial
-        solved = solve_full_ilp(
-            dag,
-            machine,
-            num_supersteps,
-            time_limit=self.time_limit,
-            backend=self.backend,
-        )
+        solved = solve_full_ilp(dag, machine, num_supersteps, time_limit=self.time_limit)
         if solved is None:
             return initial
         # Keep whichever schedule is cheaper: the ILP window is bounded by

@@ -58,14 +58,12 @@ class IlpInitScheduler(Scheduler):
         max_variables: int = 2000,
         supersteps_per_batch: int = 3,
         time_limit_per_batch: Optional[float] = 15.0,
-        backend: str = "highs",
     ) -> None:
         if supersteps_per_batch < 1:
             raise ValueError("supersteps_per_batch must be at least 1")
         self.max_variables = max_variables
         self.supersteps_per_batch = supersteps_per_batch
         self.time_limit_per_batch = time_limit_per_batch
-        self.backend = backend
 
     def schedule(self, dag: ComputationalDAG, machine: BspMachine) -> BspSchedule:
         n = dag.n
@@ -92,7 +90,7 @@ class IlpInitScheduler(Scheduler):
                 background_consumers=False,
                 name=f"ILPinit[{s_first},{s_last}]",
             )
-            result = solve(form.model, time_limit=self.time_limit_per_batch, backend=self.backend)
+            result = solve(form.model, time_limit=self.time_limit_per_batch)
             if result.has_solution:
                 try:
                     new_proc, new_step = form.extract_assignment(result)

@@ -3,9 +3,7 @@
 The paper formulates (parts of) the BSP scheduling problem as ILPs and hands
 them to the CBC solver.  CBC is not available offline, so this repository
 ships its own thin modelling layer which compiles to ``scipy.optimize.milp``
-(the HiGHS solver bundled with SciPy) and, for very small models and for
-testing, to a pure-Python branch-and-bound solver
-(:mod:`repro.ilp.bnb`).
+(the HiGHS solver bundled with SciPy).
 
 The layer is deliberately minimal: variables are referenced by integer
 index, constraints are sparse row dictionaries ``{var_index: coefficient}``
@@ -124,7 +122,7 @@ class IlpModel:
         self.objective[var] = self.objective.get(var, 0.0) + float(coeff)
 
     # ------------------------------------------------------------------
-    # Compilation to array form (used by the solver backends)
+    # Compilation to array form (used by the solver)
     # ------------------------------------------------------------------
     def to_arrays(self):
         """Return ``(c, A, c_lb, c_ub, bounds_lb, bounds_ub, integrality)``.

@@ -65,7 +65,6 @@ class PartialIlpImprover:
 
     max_variables: int = 4000
     time_limit_per_window: Optional[float] = 20.0
-    backend: str = "highs"
     name: str = "ILPpart"
 
     def improve(self, schedule: BspSchedule) -> BspSchedule:
@@ -88,7 +87,7 @@ class PartialIlpImprover:
                 base_step=current.step,
                 name=f"ILPpart[{s1},{s2}]",
             )
-            result = solve(form.model, time_limit=self.time_limit_per_window, backend=self.backend)
+            result = solve(form.model, time_limit=self.time_limit_per_window)
             if not result.has_solution:
                 continue
             try:

@@ -1,11 +1,9 @@
-"""MILP solver backends.
+"""The MILP solver.
 
 The paper uses the open-source CBC solver with per-call time limits; this
 reproduction substitutes SciPy's bundled HiGHS MILP solver
-(``scipy.optimize.milp``, a declared dependency) and offers a pure-Python
-branch and bound (:mod:`repro.ilp.bnb`) as an independent second backend.
-Both are driven through :func:`solve`, which normalizes the result into a
-:class:`SolverResult`.
+(``scipy.optimize.milp``, a declared dependency).  :func:`solve` runs it and
+normalizes the result into a :class:`SolverResult`.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ import numpy as np
 
 from .model import IlpModel
 
-__all__ = ["SolverStatus", "SolverResult", "solve", "solve_with_highs"]
+__all__ = ["SolverStatus", "SolverResult", "solve"]
 
 
 class SolverStatus(enum.Enum):
@@ -53,12 +51,8 @@ class SolverResult:
         return self.value(index) > 0.5
 
 
-def solve_with_highs(
-    model: IlpModel,
-    time_limit: Optional[float] = None,
-    mip_rel_gap: Optional[float] = None,
-) -> SolverResult:
-    """Solve with ``scipy.optimize.milp`` (HiGHS)."""
+def solve(model: IlpModel, time_limit: Optional[float] = None) -> SolverResult:
+    """Solve ``model`` with ``scipy.optimize.milp`` (HiGHS)."""
     from scipy.optimize import Bounds, LinearConstraint, milp
 
     c, A, c_lb, c_ub, b_lb, b_ub, integrality = model.to_arrays()
@@ -66,8 +60,6 @@ def solve_with_highs(
     options = {}
     if time_limit is not None:
         options["time_limit"] = float(time_limit)
-    if mip_rel_gap is not None:
-        options["mip_rel_gap"] = float(mip_rel_gap)
     options["disp"] = False
     res = milp(
         c=c,
@@ -85,22 +77,3 @@ def solve_with_highs(
         return SolverResult(SolverStatus.INFEASIBLE, None, None)
     return SolverResult(SolverStatus.NO_SOLUTION, None, None)
 
-
-def solve(
-    model: IlpModel,
-    time_limit: Optional[float] = None,
-    mip_rel_gap: Optional[float] = None,
-    backend: str = "highs",
-) -> SolverResult:
-    """Solve a model with the requested backend (``"highs"`` or ``"bnb"``).
-
-    The branch-and-bound backend is an independent oracle that cross-checks
-    the formulations in tests; it is only suitable for small models.
-    """
-    if backend == "highs":
-        return solve_with_highs(model, time_limit=time_limit, mip_rel_gap=mip_rel_gap)
-    if backend == "bnb":
-        from .bnb import solve_branch_and_bound
-
-        return solve_branch_and_bound(model, time_limit=time_limit)
-    raise ValueError(f"unknown solver backend {backend!r}")

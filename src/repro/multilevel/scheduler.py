@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from ..graphs.dag import ComputationalDAG
-from ..ilp.commsched import CommScheduleIlpImprover
+from ..ilp.commsched import solve_comm_schedule_ilp
 from ..localsearch.comm_hill_climbing import comm_hill_climb
 from ..model.machine import BspMachine
 from ..model.schedule import BspSchedule
@@ -85,7 +85,9 @@ def _multilevel_schedule(
     best_cost = float(best_schedule.cost()) if best_schedule is not None else float("inf")
     per_ratio_cost: Dict[float, float] = {}
 
-    for ratio in config.coarsening_ratios:
+    # An empty DAG has nothing to coarsen: the fallback candidate is the result.
+    ratios = config.coarsening_ratios if dag.n > 0 else ()
+    for ratio in ratios:
         with _trace.span("ml_ratio", ratio=float(ratio)) as ratio_span:
             target = max(config.min_coarse_nodes, int(round(dag.n * float(ratio))))
             target = min(target, dag.n)
@@ -130,10 +132,11 @@ def _multilevel_schedule(
                     refined, time_limit=config.base_pipeline.hccs_time_limit
                 ).schedule
                 if config.base_pipeline.use_ilp_cs:
-                    refined = CommScheduleIlpImprover(
-                        time_limit=config.base_pipeline.ilp_cs_time_limit,
-                        backend=config.base_pipeline.solver_backend,
-                    ).improve(refined)
+                    improved = solve_comm_schedule_ilp(
+                        refined, time_limit=config.base_pipeline.ilp_cs_time_limit
+                    )
+                    if improved is not None and improved.cost() <= refined.cost():
+                        refined = improved
 
             cost = float(refined.cost())
             per_ratio_cost[float(ratio)] = cost

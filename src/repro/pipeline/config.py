@@ -45,9 +45,6 @@ class PipelineConfig:
     use_ilp_cs: bool = True
     ilp_cs_time_limit: Optional[float] = 10.0
 
-    # --- misc -----------------------------------------------------------
-    solver_backend: str = "highs"
-
     # ------------------------------------------------------------------
     @classmethod
     def fast(cls) -> "PipelineConfig":
@@ -99,7 +96,6 @@ class PipelineConfig:
         """Named preset: ``default``, ``fast``, ``heuristics`` or ``paper``."""
         presets = {
             "default": cls,
-            "full": cls,
             "fast": cls.fast,
             "heuristics": cls.heuristics_only,
             "paper": cls.paper,

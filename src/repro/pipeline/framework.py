@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 from ..graphs.dag import ComputationalDAG
 from ..heuristics.bspg import BspGreedyScheduler
 from ..heuristics.source import SourceScheduler
-from ..ilp.commsched import CommScheduleIlpImprover
+from ..ilp.commsched import solve_comm_schedule_ilp
 from ..ilp.formulation import estimate_variable_count
 from ..ilp.full import solve_full_ilp
 from ..ilp.init import IlpInitScheduler
@@ -79,7 +79,6 @@ def _initializers(machine: BspMachine, config: PipelineConfig) -> List[Scheduler
             IlpInitScheduler(
                 max_variables=config.ilp_init_max_variables,
                 time_limit_per_batch=config.ilp_init_time_limit,
-                backend=config.solver_backend,
             )
         )
     if not inits:
@@ -167,11 +166,7 @@ def _run_pipeline(
         )
         if full_applicable:
             solved = solve_full_ilp(
-                dag,
-                machine,
-                num_supersteps,
-                time_limit=config.ilp_full_time_limit,
-                backend=config.solver_backend,
+                dag, machine, num_supersteps, time_limit=config.ilp_full_time_limit
             )
             if solved is not None and solved.cost() < current_cost:
                 current = solved
@@ -181,7 +176,6 @@ def _run_pipeline(
             improver = PartialIlpImprover(
                 max_variables=config.ilp_partial_max_variables,
                 time_limit_per_window=config.ilp_partial_time_limit,
-                backend=config.solver_backend,
             )
             improved = improver.improve(current)
             if improved.cost() < current_cost:
@@ -191,11 +185,8 @@ def _run_pipeline(
         ilp_assignment_cost = current_cost
 
         if config.use_ilp_cs:
-            improver_cs = CommScheduleIlpImprover(
-                time_limit=config.ilp_cs_time_limit, backend=config.solver_backend
-            )
-            improved = improver_cs.improve(current)
-            if improved.cost() <= current_cost:
+            improved = solve_comm_schedule_ilp(current, time_limit=config.ilp_cs_time_limit)
+            if improved is not None and improved.cost() <= current_cost:
                 current = improved
                 current_cost = float(improved.cost())
         if _trace.enabled():

@@ -12,7 +12,7 @@ determinism, NUMA awareness) and its keyword parameters become reachable
 from a *spec string*::
 
     make_scheduler("cilk")
-    make_scheduler("multilevel(fast=false, min_coarse_nodes=16)")
+    make_scheduler("multilevel(preset=default, min_coarse_nodes=16)")
     make_scheduler("hc(max_moves=200, init=source)")
     make_scheduler("framework(use_ilp_full=false, hc_time_limit=1.5)")
 
@@ -457,7 +457,6 @@ def _make_ilp_init(
     max_variables: int = 2000,
     supersteps_per_batch: int = 3,
     time_limit: Optional[float] = 15.0,
-    backend: str = "highs",
 ) -> Scheduler:
     from .ilp.init import IlpInitScheduler
 
@@ -465,7 +464,6 @@ def _make_ilp_init(
         max_variables=max_variables,
         supersteps_per_batch=supersteps_per_batch,
         time_limit_per_batch=time_limit,
-        backend=backend,
     )
 
 
@@ -479,7 +477,6 @@ def _make_ilp_init(
 def _make_ilp_full(
     time_limit: Optional[float] = 60.0,
     max_variables: int = 20_000,
-    backend: str = "highs",
     init: str = "bspg",
 ) -> Scheduler:
     from .ilp.full import IlpFullScheduler
@@ -488,7 +485,6 @@ def _make_ilp_full(
         initializer=make_scheduler(init),
         time_limit=time_limit,
         max_variables=max_variables,
-        backend=backend,
     )
 
 
@@ -566,15 +562,9 @@ def _make_sa(
     )
 
 
-# Combined schedulers (paper Figures 3 and 4).
-def _pipeline_config(fast: bool, preset: Optional[str], overrides: Dict[str, Any]) -> PipelineConfig:
-    base = PipelineConfig.preset(preset) if preset is not None else (
-        PipelineConfig.fast() if fast else PipelineConfig()
-    )
-    return base.with_overrides(**overrides)
-
-
-_PIPELINE_PARAMS = ("fast", "preset") + tuple(sorted(PipelineConfig.field_names()))
+# Combined schedulers (paper Figures 3 and 4).  ``preset`` picks the limits
+# (``PipelineConfig.preset``); the remaining keywords override single knobs.
+_PIPELINE_PARAMS = ("preset",) + tuple(sorted(PipelineConfig.field_names()))
 
 
 @register_scheduler(
@@ -584,37 +574,15 @@ _PIPELINE_PARAMS = ("fast", "preset") + tuple(sorted(PipelineConfig.field_names(
     numa_aware=True,
     parameters=_PIPELINE_PARAMS,
 )
-def _make_framework(fast: bool = True, preset: Optional[str] = None, **overrides: Any) -> Scheduler:
+def _make_framework(preset: str = "fast", **overrides: Any) -> Scheduler:
     from .pipeline.framework import FrameworkScheduler
 
-    return FrameworkScheduler(_pipeline_config(fast, preset, overrides))
+    return FrameworkScheduler(PipelineConfig.preset(preset).with_overrides(**overrides))
 
 
-@register_scheduler(
-    "framework-full",
-    description="The combined pipeline with the full (default) time limits",
-    deterministic=False,
-    numa_aware=True,
-    parameters=_PIPELINE_PARAMS,
-)
-def _make_framework_full(
-    fast: bool = False, preset: Optional[str] = None, **overrides: Any
-) -> Scheduler:
-    from .pipeline.framework import FrameworkScheduler
-
-    return FrameworkScheduler(_pipeline_config(fast, preset, overrides))
-
-
-_MULTILEVEL_PARAMS = ("fast", "preset") + tuple(
+_MULTILEVEL_PARAMS = ("preset",) + tuple(
     sorted(MultilevelConfig.field_names() | PipelineConfig.field_names())
 )
-
-
-def _multilevel_config(
-    fast: bool, preset: Optional[str], overrides: Dict[str, Any]
-) -> MultilevelConfig:
-    base = MultilevelConfig(base_pipeline=_pipeline_config(fast, preset, {}))
-    return base.with_overrides(**overrides)
 
 
 @register_scheduler(
@@ -624,25 +592,11 @@ def _multilevel_config(
     numa_aware=True,
     parameters=_MULTILEVEL_PARAMS,
 )
-def _make_multilevel(fast: bool = True, preset: Optional[str] = None, **overrides: Any) -> Scheduler:
+def _make_multilevel(preset: str = "fast", **overrides: Any) -> Scheduler:
     from .multilevel.scheduler import MultilevelScheduler
 
-    return MultilevelScheduler(_multilevel_config(fast, preset, overrides))
-
-
-@register_scheduler(
-    "multilevel-full",
-    description="Multilevel scheduler with the full (default) pipeline limits",
-    deterministic=False,
-    numa_aware=True,
-    parameters=_MULTILEVEL_PARAMS,
-)
-def _make_multilevel_full(
-    fast: bool = False, preset: Optional[str] = None, **overrides: Any
-) -> Scheduler:
-    from .multilevel.scheduler import MultilevelScheduler
-
-    return MultilevelScheduler(_multilevel_config(fast, preset, overrides))
+    config = MultilevelConfig(base_pipeline=PipelineConfig.preset(preset))
+    return MultilevelScheduler(config.with_overrides(**overrides))
 
 
 # CCR-based dispatch between the two (the paper's suggested extension).

@@ -1,4 +1,4 @@
-"""Pure-Python branch-and-bound MILP solver (the ``"bnb"`` backend).
+"""Pure-Python branch-and-bound MILP solver (the tests' oracle for HiGHS).
 
 Solves small mixed-integer programs by LP-relaxation branch and bound, using
 ``scipy.optimize.linprog`` (HiGHS simplex/IPM) for the relaxations.  It is
@@ -19,8 +19,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .model import IlpModel
-from .solver import SolverResult, SolverStatus
+from repro.ilp.model import IlpModel
+from repro.ilp.solver import SolverResult, SolverStatus
 
 __all__ = ["solve_branch_and_bound"]
 

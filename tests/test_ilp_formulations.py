@@ -8,7 +8,7 @@ from repro.baselines.trivial import LevelRoundRobinScheduler
 from repro.graphs.coarse import coarse_pagerank
 from repro.graphs.dag import ComputationalDAG
 from repro.heuristics.bspg import BspGreedyScheduler
-from repro.ilp.commsched import CommScheduleIlpImprover, solve_comm_schedule_ilp
+from repro.ilp.commsched import solve_comm_schedule_ilp
 from repro.ilp.formulation import build_bsp_ilp, estimate_variable_count
 from repro.ilp.full import IlpFullScheduler, solve_full_ilp
 from repro.ilp.init import IlpInitScheduler, topological_batches
@@ -110,8 +110,8 @@ class TestCommScheduleIlp:
 
     def test_improver_never_worse(self, exp_small, numa_machine):
         sched = HDaggScheduler().schedule(exp_small, numa_machine)
-        improved = CommScheduleIlpImprover(time_limit=10).improve(sched)
-        assert improved.is_valid()
+        improved = solve_comm_schedule_ilp(sched, time_limit=10)
+        assert improved is not None and improved.is_valid()
         assert improved.cost() <= sched.cost() + 1e-9
 
 

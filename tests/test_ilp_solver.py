@@ -1,10 +1,16 @@
-"""Tests for the MILP solver backends (HiGHS and branch-and-bound)."""
+"""Tests for the MILP solver (HiGHS) and its branch-and-bound test oracle."""
 
+import numpy as np
 import pytest
 
-from repro.ilp.bnb import solve_branch_and_bound
+from ilp_bnb import solve_branch_and_bound
+from repro.graphs.dag import ComputationalDAG
+from repro.ilp import commsched
+from repro.ilp.formulation import build_bsp_ilp
 from repro.ilp.model import IlpModel
-from repro.ilp.solver import SolverStatus, solve, solve_with_highs
+from repro.ilp.solver import SolverStatus, solve
+from repro.model.machine import BspMachine
+from repro.model.schedule import BspSchedule
 
 
 def knapsack_model():
@@ -39,7 +45,7 @@ def fractional_lp_model():
 class TestHighsBackend:
     def test_knapsack_optimum(self):
         model, (x, y, z) = knapsack_model()
-        result = solve_with_highs(model)
+        result = solve(model)
         assert result.status == SolverStatus.OPTIMAL
         assert result.objective == pytest.approx(-9.0)
         # The selected items must satisfy the capacity and reach profit 9.
@@ -49,7 +55,7 @@ class TestHighsBackend:
         assert weight <= 5.0 + 1e-9
 
     def test_infeasible_detected(self):
-        result = solve_with_highs(infeasible_model())
+        result = solve(infeasible_model())
         assert result.status == SolverStatus.INFEASIBLE
         assert not result.has_solution
         with pytest.raises(ValueError):
@@ -58,7 +64,7 @@ class TestHighsBackend:
     def test_objective_constant_included(self):
         model, _ = knapsack_model()
         model.objective_constant = 100.0
-        result = solve_with_highs(model)
+        result = solve(model)
         assert result.objective == pytest.approx(91.0)
 
 
@@ -66,7 +72,7 @@ class TestBranchAndBoundBackend:
     def test_matches_highs_on_knapsack(self):
         model, _ = knapsack_model()
         bnb = solve_branch_and_bound(model)
-        highs = solve_with_highs(model)
+        highs = solve(model)
         assert bnb.status in (SolverStatus.OPTIMAL, SolverStatus.FEASIBLE)
         assert bnb.objective == pytest.approx(highs.objective)
 
@@ -85,13 +91,51 @@ class TestBranchAndBoundBackend:
         assert result.status in (SolverStatus.NO_SOLUTION, SolverStatus.FEASIBLE, SolverStatus.OPTIMAL)
 
 
-class TestDispatcher:
-    def test_backend_selection(self):
-        model, _ = knapsack_model()
-        assert solve(model, backend="highs").objective == pytest.approx(-9.0)
-        assert solve(model, backend="bnb").objective == pytest.approx(-9.0)
+class TestOracleAgreesOnFormulations:
+    """HiGHS and branch and bound reach the same optimum on the BSP models."""
 
-    def test_unknown_backend_rejected(self):
-        model, _ = knapsack_model()
-        with pytest.raises(ValueError):
-            solve(model, backend="gurobi")
+    @staticmethod
+    def assert_solvers_agree(model):
+        highs = solve(model)
+        oracle = solve_branch_and_bound(model)
+        assert highs.status == SolverStatus.OPTIMAL
+        assert oracle.status == SolverStatus.OPTIMAL
+        assert oracle.objective == pytest.approx(highs.objective)
+
+    @pytest.mark.parametrize(
+        "dag_name, num_supersteps", [("chain", 2), ("independent", 1), ("diamond", 2)]
+    )
+    def test_full_model_uniform(self, dag_name, num_supersteps, diamond_dag):
+        dag = {
+            "chain": ComputationalDAG(4, [(0, 1), (1, 2), (2, 3)]),
+            "independent": ComputationalDAG(4, []),
+            "diamond": diamond_dag,
+        }[dag_name]
+        machine = BspMachine(P=2, g=1, l=5)
+        form = build_bsp_ilp(dag, machine, s_first=0, s_last=num_supersteps - 1)
+        self.assert_solvers_agree(form.model)
+
+    def test_full_model_numa(self, diamond_dag):
+        machine = BspMachine.hierarchical(P=4, delta=2, g=1, l=5)
+        form = build_bsp_ilp(diamond_dag, machine, s_first=0, s_last=1)
+        self.assert_solvers_agree(form.model)
+
+    def test_comm_schedule_model(self, monkeypatch):
+        # The instance of test_ilp_formulations.py::test_spreads_bottleneck_transfers.
+        dag = ComputationalDAG(
+            5, [(0, 3), (1, 3), (2, 4)], work=[1, 1, 1, 1, 1], comm=[4, 4, 5, 1, 1]
+        )
+        machine = BspMachine(P=3, g=2, l=1)
+        sched = BspSchedule(
+            dag, machine, np.array([0, 1, 0, 2, 1]), np.array([0, 0, 0, 2, 1])
+        )
+        models = []
+
+        def capture(model, time_limit=None):
+            models.append(model)
+            return solve(model, time_limit=time_limit)
+
+        monkeypatch.setattr(commsched, "solve", capture)
+        assert commsched.solve_comm_schedule_ilp(sched) is not None
+        assert len(models) == 1
+        self.assert_solvers_agree(models[0])

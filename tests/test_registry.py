@@ -1,5 +1,8 @@
 """Tests for the scheduler registry."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.model.machine import BspMachine
@@ -50,6 +53,13 @@ class TestRegistry:
         machine = BspMachine(P=2, g=1, l=1)
         schedule = make_scheduler(name).schedule_checked(diamond_dag, machine)
         assert schedule.cost() > 0
+
+    def test_readme_specs_build(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        specs = re.findall(r'make_scheduler\("([^"]+)"\)', readme)
+        assert specs
+        for spec in specs:
+            assert make_scheduler(spec).name, spec
 
 
 class TestSpecStrings:

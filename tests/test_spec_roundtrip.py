@@ -15,6 +15,7 @@ import pytest
 
 from repro import api
 from repro.cli import main
+from repro.pipeline.config import PipelineConfig
 from repro.registry import (
     available_schedulers,
     canonical_scheduler_spec,
@@ -69,7 +70,7 @@ class TestEverySchedulerConstructible:
 
     def test_canonical_spec_is_a_fixed_point(self):
         specs = DETERMINISTIC_SPECS + [
-            "framework(fast=true, hc_max_moves=10)",
+            "framework(preset=fast, hc_max_moves=10)",
             "multilevel(min_coarse_nodes=16, coarsening_ratios=[0.3, 0.15])",
         ]
         for spec in specs:
@@ -84,7 +85,7 @@ class TestParameterizedFormsParseBack:
 
     def test_framework_parameterized(self):
         scheduler = make_scheduler(
-            "framework(fast=true, use_ilp_full=false, hc_max_moves=25, hc_time_limit=1.5)"
+            "framework(preset=fast, use_ilp_full=false, hc_max_moves=25, hc_time_limit=1.5)"
         )
         config = scheduler.config
         assert config.use_ilp_full is False
@@ -96,6 +97,15 @@ class TestParameterizedFormsParseBack:
     def test_framework_preset(self):
         heur = make_scheduler("framework(preset=heuristics)").config
         assert not (heur.use_ilp_full or heur.use_ilp_partial or heur.use_ilp_cs)
+        assert make_scheduler("framework").config == PipelineConfig.fast()
+        assert make_scheduler("framework(preset=default)").config == PipelineConfig()
+        for spec, parameter in [
+            ("framework(fast=true)", "fast"),
+            ("framework(solver_backend=highs)", "solver_backend"),
+            ("ilp-full(backend=highs)", "backend"),
+        ]:
+            with pytest.raises(ValueError, match=rf"unknown parameter\(s\) {parameter} "):
+                make_scheduler(spec)
 
     def test_multilevel_parameterized(self):
         scheduler = make_scheduler(
@@ -127,8 +137,6 @@ class TestParameterizedFormsParseBack:
     def test_unknown_pipeline_knob_rejected(self):
         with pytest.raises(ValueError, match="unknown parameter"):
             make_scheduler("framework(warp_speed=true)")
-        from repro.pipeline.config import PipelineConfig
-
         with pytest.raises(ValueError, match="unknown pipeline option"):
             PipelineConfig().with_overrides(warp_speed=True)
 
