@@ -83,7 +83,7 @@ def test_source_scheduler(benchmark, dag, machine):
 def test_hill_climbing_hot_path(benchmark, hdagg_schedule):
     """The HC hot loop: probe + apply moves until a local optimum."""
     result = benchmark.pedantic(
-        lambda: hill_climb(hdagg_schedule), rounds=3, iterations=1
+        lambda: hill_climb(hdagg_schedule), rounds=5, iterations=1
     )
     assert result.schedule.is_valid()
     assert result.final_cost <= result.initial_cost
@@ -91,7 +91,7 @@ def test_hill_climbing_hot_path(benchmark, hdagg_schedule):
 
 def test_comm_hill_climbing(benchmark, hdagg_schedule):
     result = benchmark.pedantic(
-        lambda: comm_hill_climb(hdagg_schedule), rounds=1, iterations=1
+        lambda: comm_hill_climb(hdagg_schedule), rounds=5, iterations=1
     )
     assert result.schedule.is_valid()
 

@@ -57,7 +57,7 @@ def hdagg_schedule(dag, machine):
 def test_hill_climbing_hot_path(benchmark, hdagg_schedule):
     """The HC hot loop with its telemetry hooks compiled in but disabled."""
     result = benchmark.pedantic(
-        lambda: hill_climb(hdagg_schedule), rounds=3, iterations=1
+        lambda: hill_climb(hdagg_schedule), rounds=5, iterations=1
     )
     assert result.schedule.is_valid()
     assert result.final_cost <= result.initial_cost
@@ -65,7 +65,7 @@ def test_hill_climbing_hot_path(benchmark, hdagg_schedule):
 
 def test_comm_hill_climbing(benchmark, hdagg_schedule):
     result = benchmark.pedantic(
-        lambda: comm_hill_climb(hdagg_schedule), rounds=1, iterations=1
+        lambda: comm_hill_climb(hdagg_schedule), rounds=5, iterations=1
     )
     assert result.schedule.is_valid()
 

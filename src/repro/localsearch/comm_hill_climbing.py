@@ -139,10 +139,10 @@ class CommScheduleState:
         self.current[(u, q)] = new_step
         engine = self.engine
         mats = engine.mats
-        mats[SEND, old, p_from] -= volume
-        mats[RECV, old, q] -= volume
-        mats[SEND, new_step, p_from] += volume
-        mats[RECV, new_step, q] += volume
+        mats[SEND, p_from, old] -= volume
+        mats[RECV, q, old] -= volume
+        mats[SEND, p_from, new_step] += volume
+        mats[RECV, q, new_step] += volume
         engine.refresh_rows((old, new_step))
         return engine.total_cost
 

@@ -7,12 +7,12 @@ state for schedules with a *lazy* communication schedule, kept entirely in
 flat numpy arrays (the Dask-scheduler idiom: redundant, constant-time
 structures owned by one kernel layer):
 
-* the ``(S, P)`` work / send / receive matrices and their per-superstep
-  costs, owned by the shared
-  :class:`~repro.localsearch.engine.IncrementalCostEngine` (both layers go
-  through :func:`repro.model.cost.superstep_matrices` and
-  :func:`repro.model.cost.superstep_row_costs`, so the cost formula has a
-  single source of truth),
+* the work / send / receive matrices (stored rows-last as one ``(3, P, S)``
+  tensor) and their per-superstep costs, owned by the shared
+  :class:`~repro.localsearch.engine.IncrementalCostEngine`; they are built
+  by :func:`repro.model.cost.superstep_matrices` and costed by
+  :func:`repro.model.cost.superstep_block_costs`, so the cost formula stays
+  in :mod:`repro.model.cost`,
 * dense ``(n, P)`` tables ``succ_min`` / ``succ_min_cnt`` / ``succ_cnt``
   holding, for every node ``u`` and processor ``p``, the earliest superstep
   of a successor of ``u`` on ``p``, how many successors sit at that earliest
@@ -46,10 +46,10 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..graphs.dag import ComputationalDAG
-from ..model.cost import superstep_matrices
+from ..model.cost import superstep_block_costs, superstep_matrices
 from ..model.machine import MEMORY_EPS, BspMachine
 from ..model.schedule import BspSchedule
-from .engine import IncrementalCostEngine
+from .engine import RECV, SEND, WORK, IncrementalCostEngine
 
 __all__ = ["LocalSearchState", "Move"]
 
@@ -66,10 +66,6 @@ _EMPTY_ROWS = np.zeros(0, dtype=np.int64)
 
 class LocalSearchState:
     """Mutable scheduling state with incremental BSP+NUMA cost maintenance."""
-
-    #: Number of spare superstep rows kept at the end of the matrices so that
-    #: moves into a brand new superstep never need an immediate reallocation.
-    _SLACK = 4
 
     def __init__(self, schedule: BspSchedule) -> None:
         self.dag: ComputationalDAG = schedule.dag
@@ -118,9 +114,7 @@ class LocalSearchState:
         # engine owns them together with the per-row costs and the total.
         lazy = BspSchedule(self.dag, self.machine, self.proc, self.step)
         work, send, recv = superstep_matrices(lazy)
-        max_step = int(self.step.max()) if n else 0
-        slack = max_step + 1 + self._SLACK - work.shape[0]
-        self.engine = IncrementalCostEngine(work, send, recv, self.g, self.l, slack=slack)
+        self.engine = IncrementalCostEngine(work, send, recv, self.g, self.l)
 
         # Dense per-(node, processor) successor-step tables.  They are built
         # vectorized but kept as plain nested python lists afterwards: every
@@ -415,9 +409,9 @@ class LocalSearchState:
 
     def moves_from_mask(self, v: int, mask_row: np.ndarray) -> List[Move]:
         """Decode one row of :meth:`candidate_mask` into a move list."""
-        s = int(self.step[v])
+        s = int(self.step[v]) - 1
         steps, procs = np.nonzero(mask_row)
-        return [(v, int(p), s + int(j) - 1) for j, p in zip(steps, procs)]
+        return [(v, p, s + j) for j, p in zip(steps.tolist(), procs.tolist())]
 
     def probe_dependents(self, v: int) -> np.ndarray:
         """Nodes whose cached probe results a move of ``v`` can invalidate.
@@ -452,14 +446,14 @@ class LocalSearchState:
         old_step = int(self.step[v])
         touched.append(old_step)
         touched.append(new_step)
-        engine = self.engine
-        send = engine.send
-        recv = engine.recv
+        mats = self.engine.mats
+        send = mats[SEND]
+        recv = mats[RECV]
 
         # --- work matrix -------------------------------------------------
         w_v = self._work_list[v]
-        engine.work[old_step, old_proc] -= w_v
-        engine.work[new_step, new_proc] += w_v
+        mats[WORK, old_proc, old_step] -= w_v
+        mats[WORK, new_proc, new_step] += w_v
 
         # --- outgoing transfers of v (v as the producer) -------------------
         # The set of target processors and their needed steps do not change,
@@ -476,14 +470,14 @@ class LocalSearchState:
             old_mask = targets_q != old_proc
             if old_mask.any():
                 volumes = c_v * self.numa[old_proc, targets_q[old_mask]]
-                np.subtract.at(send, (rows[old_mask], old_proc), volumes)
-                np.subtract.at(recv, (rows[old_mask], targets_q[old_mask]), volumes)
+                np.subtract.at(send[old_proc], rows[old_mask], volumes)
+                np.subtract.at(recv, (targets_q[old_mask], rows[old_mask]), volumes)
                 touched.extend(rows[old_mask].tolist())
             new_mask = targets_q != new_proc
             if new_mask.any():
                 volumes = c_v * self.numa[new_proc, targets_q[new_mask]]
-                np.add.at(send, (rows[new_mask], new_proc), volumes)
-                np.add.at(recv, (rows[new_mask], targets_q[new_mask]), volumes)
+                np.add.at(send[new_proc], rows[new_mask], volumes)
+                np.add.at(recv, (targets_q[new_mask], rows[new_mask]), volumes)
                 touched.extend(rows[new_mask].tolist())
 
         # Commit v's new position before touching the successor tables of its
@@ -521,12 +515,12 @@ class LocalSearchState:
                     continue
                 volume = self._comm_list[u] * numa[pu][q]
                 if was_needed < _NO_STEP:
-                    send[was_needed - 1, pu] -= volume
-                    recv[was_needed - 1, q] -= volume
+                    send[pu, was_needed - 1] -= volume
+                    recv[q, was_needed - 1] -= volume
                     touched.append(was_needed - 1)
                 if now_needed < _NO_STEP:
-                    send[now_needed - 1, pu] += volume
-                    recv[now_needed - 1, q] += volume
+                    send[pu, now_needed - 1] += volume
+                    recv[q, now_needed - 1] += volume
                     touched.append(now_needed - 1)
 
         # The step bounds of v's neighbours depend on v's assignment; patch
@@ -549,10 +543,7 @@ class LocalSearchState:
         engine.ensure_capacity(new_step)
         touched: List[int] = []
         self._apply_raw(v, new_proc, new_step, touched)
-        rows = np.unique(np.fromiter(touched, dtype=np.int64))
-        rows = rows[(rows >= 0) & (rows < engine.S)]
-        self.last_touched_rows = rows
-        engine.refresh_rows(rows)
+        self.last_touched_rows = engine.refresh_rows(touched)
         return engine.total_cost
 
     def move_deltas_many(
@@ -565,11 +556,12 @@ class LocalSearchState:
         position is removed once (shared by all its candidates) and each
         candidate's additions are scattered into its own copy of the
         affected superstep rows; the copies of *all items* live in one
-        ``(3, sum_i K_i * nR_i, P)`` tensor, so the whole batch costs one
-        gather, two scatter-adds and a single fused cost-kernel pass instead
-        of a dozen numpy calls per node.  All moves of an item must be valid
-        moves of that item's node (e.g. :meth:`candidate_moves` output); all
-        probes are evaluated against the same (current) state.
+        rows-last ``(3, P, sum_i K_i * nR_i)`` tensor, so the whole batch
+        costs two gathers, two flat scatter-adds and a single fused
+        cost-kernel pass instead of a dozen numpy calls per node.  All moves
+        of an item must be valid moves of that item's node (e.g.
+        :meth:`candidate_moves` output); all probes are evaluated against
+        the same (current) state.
 
         Returns ``(deltas, rows)``: per item, the per-candidate cost deltas
         and the sorted superstep rows the probe read (the probe result is a
@@ -579,6 +571,8 @@ class LocalSearchState:
         engine = self.engine
         P = self.P
         numa = self._numa_list
+        comm = self._comm_list
+        succ_min = self.succ_min
         sc = engine.step_cost_list
         max_s = -1
         for _, moves in items:
@@ -588,38 +582,37 @@ class LocalSearchState:
         if max_s >= 0:
             engine.ensure_capacity(max_s)
         S = engine.S
+        # A scatter entry names its cell by a key ``matrix * P + processor``
+        # (WORK = 0, SEND = 1, RECV = 2), the row of its block, and a value.
+        send_key = SEND * P
+        recv_key = RECV * P
 
         all_rows: List[int] = []      #: concatenated per-item sorted row sets
         src: List[int] = []           #: base-row index for each expanded row
-        rm_m: List[int] = []          #: removal scatter (matrix, row, col, val)
+        rm_k: List[int] = []          #: removal scatter (key, row, value)
         rm_r: List[int] = []
-        rm_c: List[int] = []
         rm_v: List[float] = []
-        ad_m: List[int] = []          #: per-candidate addition scatter
+        ad_k: List[int] = []          #: per-candidate addition scatter
         ad_r: List[int] = []
-        ad_c: List[int] = []
         ad_v: List[float] = []
         seg_starts: List[int] = []    #: first expanded row of every candidate
         base_costs: List[float] = []  #: current cost of each item's rows, per candidate
-        shape: List[Tuple[int, int]] = []
-        rows_out: List[np.ndarray] = []
+        shape: List[Tuple[int, int]] = []  #: (candidates, rows) per item
         n_off = 0   # rows gathered so far
         m_off = 0   # expanded (candidate-replicated) rows so far
 
         for v, moves in items:
             if not moves:
                 shape.append((0, 0))
-                rows_out.append(_EMPTY_ROWS)
                 continue
             p0 = int(self.proc[v])
             s0 = int(self.step[v])
             parents = self._pred_indices[self._pred_indptr[v]:self._pred_indptr[v + 1]].tolist()
-            proc_of = {u: int(self.proc[u]) for u in parents}
             w_v = self._work_list[v]
-            c_v = self._comm_list[v]
+            c_v = comm[v]
 
             # Targets of v's outgoing transfers (independent of v's position).
-            needed_row = self.succ_min[v]
+            needed_row = succ_min[v]
             out_q = [q for q in range(P) if needed_row[q] < _NO_STEP]
             out_rows = [needed_row[q] - 1 for q in out_q]
 
@@ -628,12 +621,21 @@ class LocalSearchState:
             # Collection runs under try/finally so that even a probe of an
             # invalid move (a precondition violation) cannot leave the
             # tables in the "v removed" state.
-            old_nd_p0 = {}
+            old_nd_p0 = []
             self.step[v] = _NO_STEP
             for u in parents:
-                old_nd_p0[u] = self.succ_min[u][p0]
+                old_nd_p0.append(succ_min[u][p0])
                 self._succ_dec(u, p0, s0)
             try:
+                # Per parent, read once: processor, comm weight, NUMA row,
+                # first-needed step on p0 before the removal, and the
+                # successor-step row (live: it holds the "v removed" state
+                # until phase 4).
+                pinfo = []
+                for u, nd_old in zip(parents, old_nd_p0):
+                    pu = int(self.proc[u])
+                    pinfo.append((pu, comm[u], numa[pu], nd_old, succ_min[u]))
+
                 # --- collect every superstep row a candidate can touch -----
                 cand_procs = {m[1] for m in moves}
                 cand_procs.add(p0)
@@ -642,136 +644,138 @@ class LocalSearchState:
                 for (_, _, s) in moves:
                     rows.add(s)
                     rows.add(s - 1)
-                base_nd: dict = {}
-                for u in parents:
-                    if old_nd_p0[u] < _NO_STEP:
-                        rows.add(old_nd_p0[u] - 1)
-                    min_row = self.succ_min[u]
+                for _, _, _, nd_old, min_row in pinfo:
+                    if nd_old < _NO_STEP:
+                        rows.add(nd_old - 1)
                     for p in cand_procs:
                         nd = min_row[p]
-                        base_nd[(u, p)] = nd
                         if nd < _NO_STEP:
                             rows.add(nd - 1)
                 rows_sorted = sorted(r for r in rows if 0 <= r < S)
                 nR = len(rows_sorted)
                 ridx = dict(zip(rows_sorted, range(nR)))
+                out_idx = [ridx[row] for row in out_rows]
 
                 # --- phase 2: shared removal deltas (item's base rows) -----
-                rm_m.append(0)
+                rm_k.append(p0)
                 rm_r.append(n_off + ridx[s0])
-                rm_c.append(p0)
                 rm_v.append(-w_v)
-                for q, row in zip(out_q, out_rows):
+                numa_p0 = numa[p0]
+                for q, i in zip(out_q, out_idx):
                     if q == p0:
                         continue
-                    volume = c_v * numa[p0][q]
-                    i = n_off + ridx[row]
-                    rm_m += (1, 2)
+                    volume = c_v * numa_p0[q]
+                    i += n_off
+                    rm_k += (send_key + p0, recv_key + q)
                     rm_r += (i, i)
-                    rm_c += (p0, q)
                     rm_v += (-volume, -volume)
-                for u in parents:
-                    pu = proc_of[u]
+                for pu, c_u, numa_pu, nd_old, min_row in pinfo:
                     if pu == p0:
                         continue
-                    nd_old, nd_new = old_nd_p0[u], base_nd[(u, p0)]
+                    nd_new = min_row[p0]
                     if nd_old == nd_new:
                         continue
-                    volume = self._comm_list[u] * numa[pu][p0]
+                    volume = c_u * numa_pu[p0]
+                    keys = (send_key + pu, recv_key + p0)
                     if nd_old < _NO_STEP:
                         i = n_off + ridx[nd_old - 1]
-                        rm_m += (1, 2)
+                        rm_k += keys
                         rm_r += (i, i)
-                        rm_c += (pu, p0)
                         rm_v += (-volume, -volume)
                     if nd_new < _NO_STEP:
                         i = n_off + ridx[nd_new - 1]
-                        rm_m += (1, 2)
+                        rm_k += keys
                         rm_r += (i, i)
-                        rm_c += (pu, p0)
                         rm_v += (volume, volume)
 
                 # --- phase 3: per-candidate addition deltas ----------------
-                K = len(moves)
-                for k, (_, p, s) in enumerate(moves):
-                    fo = m_off + k * nR
+                fo = m_off
+                for (_, p, s) in moves:
                     seg_starts.append(fo)
-                    ad_m.append(0)
+                    ad_k.append(p)
                     ad_r.append(fo + ridx[s])
-                    ad_c.append(p)
                     ad_v.append(w_v)
-                    for q, row in zip(out_q, out_rows):
+                    numa_p = numa[p]
+                    for q, i in zip(out_q, out_idx):
                         if q == p:
                             continue
-                        volume = c_v * numa[p][q]
-                        i = fo + ridx[row]
-                        ad_m += (1, 2)
+                        volume = c_v * numa_p[q]
+                        i += fo
+                        ad_k += (send_key + p, recv_key + q)
                         ad_r += (i, i)
-                        ad_c += (p, q)
                         ad_v += (volume, volume)
-                    for u in parents:
-                        pu = proc_of[u]
+                    for pu, c_u, numa_pu, _, min_row in pinfo:
                         if p == pu:
                             continue
-                        nd = base_nd[(u, p)]
+                        nd = min_row[p]
                         if s < nd:
                             # v becomes the earliest consumer of u on p: the
                             # (lazy) transfer u -> p moves from superstep
                             # nd-1 to superstep s-1.
-                            volume = self._comm_list[u] * numa[pu][p]
+                            volume = c_u * numa_pu[p]
+                            keys = (send_key + pu, recv_key + p)
                             if nd < _NO_STEP:
                                 i = fo + ridx[nd - 1]
-                                ad_m += (1, 2)
+                                ad_k += keys
                                 ad_r += (i, i)
-                                ad_c += (pu, p)
                                 ad_v += (-volume, -volume)
                             i = fo + ridx[s - 1]
-                            ad_m += (1, 2)
+                            ad_k += keys
                             ad_r += (i, i)
-                            ad_c += (pu, p)
                             ad_v += (volume, volume)
+                    fo += nR
             finally:
                 # --- phase 4: restore the successor tables -----------------
                 for u in parents:
                     self._succ_inc(u, p0, s0)
                 self.step[v] = s0
 
+            K = len(moves)
             bc = 0.0
             for r in rows_sorted:
                 bc += sc[r]
-            base_costs.extend([bc] * K)
-            rr = list(range(n_off, n_off + nR))
-            for _ in range(K):
-                src += rr
+            base_costs += [bc] * K
+            src += list(range(n_off, n_off + nR)) * K
             all_rows += rows_sorted
-            rows_out.append(np.fromiter(rows_sorted, dtype=np.int64, count=nR))
             shape.append((K, nR))
             n_off += nR
             m_off += K * nR
 
         if m_off == 0:
-            return [np.zeros(0, dtype=np.float64) for _ in items], rows_out
+            return [np.zeros(0, dtype=np.float64) for _ in items], [_EMPTY_ROWS] * len(items)
 
         # --- phase 5: one gather + scatter + fused cost pass for the batch -
         # Every item owns its own copies of its rows, so duplicate rows
-        # across items are independent; the additions scatter must be a
-        # buffered np.add.at because one candidate can hit a cell twice.
+        # across items are independent; the scatters must be buffered
+        # np.add.at because one candidate can hit a cell twice, and its flat
+        # index into the contiguous block keeps the list's accumulation
+        # order.
         R_all = np.fromiter(all_rows, dtype=np.int64, count=n_off)
-        base_big = engine.mats[:, R_all]
-        np.add.at(base_big, (rm_m, rm_r, rm_c), rm_v)
-        T = base_big[:, np.fromiter(src, dtype=np.int64, count=m_off)]
-        np.add.at(T, (ad_m, ad_r, ad_c), ad_v)
-
-        from ..model.cost import superstep_block_costs
+        base = np.take(engine.mats, R_all, axis=2)
+        np.add.at(
+            base.reshape(-1),
+            np.array(rm_k, dtype=np.int64) * n_off + np.array(rm_r, dtype=np.int64),
+            rm_v,
+        )
+        T = np.take(base, np.fromiter(src, dtype=np.int64, count=m_off), axis=2)
+        np.add.at(
+            T.reshape(-1),
+            np.array(ad_k, dtype=np.int64) * m_off + np.array(ad_r, dtype=np.int64),
+            ad_v,
+        )
 
         costs = superstep_block_costs(T, self.g, self.l)
         sums = np.add.reduceat(costs, np.fromiter(seg_starts, dtype=np.int64, count=len(seg_starts)))
         diff = sums - np.array(base_costs)
         deltas: List[np.ndarray] = []
+        rows_out: List[np.ndarray] = []
         k_off = 0
-        for K, _ in shape:
+        r_off = 0
+        for K, nR in shape:
             deltas.append(diff[k_off:k_off + K])
+            rows_out.append(R_all[r_off:r_off + nR] if K else _EMPTY_ROWS)
             k_off += K
+            r_off += nR
         return deltas, rows_out
 
     def move_deltas(self, v: int, moves: Sequence[Move]) -> np.ndarray:

@@ -120,9 +120,9 @@ def superstep_row_costs(
     """Per-superstep costs ``C(s) = w(s) + g * h(s) + l * occurs(s)``.
 
     ``work``/``send``/``recv`` are ``(k, P)`` blocks of superstep rows (any
-    subset of rows, not necessarily the full schedule).  This is the single
-    cost kernel shared by :func:`evaluate` and the incremental local-search
-    state, so the cost formula lives in exactly one place.
+    subset of rows, not necessarily the full schedule).  This is the
+    reference form of the kernel: :func:`superstep_block_costs`, which the
+    incremental local-search engine runs, must match it bit for bit.
     """
     if work.size == 0:
         return np.zeros(work.shape[0], dtype=np.float64)
@@ -137,20 +137,28 @@ def superstep_row_costs(
 
 
 def superstep_block_costs(blocks: np.ndarray, g: float, l: float) -> np.ndarray:
-    """Per-superstep costs of a stacked ``(3, k, P)`` work/send/recv block.
+    """Per-superstep costs of a stacked ``(3, P, k)`` work/send/recv block.
 
-    Identical (bitwise) to ``superstep_row_costs(blocks[0], blocks[1],
-    blocks[2], g, l)``, but with the reductions fused across the three
+    The block is rows-last: ``blocks[0, :, r]`` is the work column of the
+    ``r``-th superstep row (``blocks[1]`` send, ``blocks[2]`` receive).
+    Identical (bitwise) to ``superstep_row_costs(blocks[0].T, blocks[1].T,
+    blocks[2].T, g, l)``, but with the reductions fused across the three
     matrices — one max, one sum and one comparison instead of three of each
-    — which matters on the local-search probe path where the blocks are tiny
-    and per-call overhead dominates.  The formula itself is the same
-    ``C(s) = w(s) + g * h(s) + l * occurs(s)``; this function and
-    :func:`superstep_row_costs` are the only two places that spell it.
+    — and running over axis 1, so that each is an elementwise pass along the
+    long superstep axis rather than a reduction of many short processor
+    rows.  That matters on the local-search probe path, where the blocks
+    hold few processors and per-call overhead dominates.  The formula is
+    the same ``C(s) = w(s) + g * h(s) + l * occurs(s)``.  It is spelled in
+    three places: here, in :func:`superstep_row_costs`, and in
+    :func:`evaluate`, which keeps the per-term breakdown and counts a
+    superstep as occurring at any activity ``> 0`` rather than above
+    :data:`OCCUPANCY_TOL` (its matrices are summed afresh, so they carry no
+    residue of incremental updates).
     """
     if blocks.size == 0:
-        return np.zeros(blocks.shape[1], dtype=np.float64)
-    mx = blocks.max(axis=2)
-    occurs = (blocks.sum(axis=2) > OCCUPANCY_TOL).any(axis=0)
+        return np.zeros(blocks.shape[2], dtype=np.float64)
+    mx = blocks.max(axis=1)
+    occurs = (blocks.sum(axis=1) > OCCUPANCY_TOL).any(axis=0)
     return mx[0] + float(g) * np.maximum(mx[1], mx[2]) + float(l) * occurs
 
 

@@ -68,7 +68,7 @@ def _apply(engine: IncrementalCostEngine, cells) -> None:
     """The engine's one mutation path: write the cells, refresh their rows."""
     engine.ensure_capacity(max(row for _, row, _, _ in cells))
     for mat, row, col, val in cells:
-        engine.mats[mat, row, col] += val
+        engine.mats[mat, col, row] += val
     engine.refresh_rows(row for _, row, _, _ in cells)
 
 
@@ -95,7 +95,7 @@ class TestEngineMatchesReferenceKernels:
         work, send, recv = data.draw(matrices(), label="mats")
         g = data.draw(st.sampled_from([0.0, 1.0, 2.5, 7.0]), label="g")
         l = data.draw(st.sampled_from([0.0, 1.0, 5.0]), label="l")
-        blocks = np.stack([work, send, recv])
+        blocks = np.stack([work.T, send.T, recv.T])
         fused = superstep_block_costs(blocks, g, l)
         rows = superstep_row_costs(work, send, recv, g, l)
         assert np.array_equal(fused, rows)

@@ -6,7 +6,8 @@ matrices).  These tests drive it with random valid move sequences on random
 DAGs and assert, after *every* move and after reverts, that the running
 ``total_cost`` equals a fresh, from-scratch :func:`repro.model.cost.evaluate`
 of the materialized schedule — i.e. the incremental kernel and the reference
-cost function can never drift apart.
+cost function can never drift apart.  Machines go up to P=16, where the
+probe's rows-last blocks have more processors than its batches have rows.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def random_dags(draw, max_nodes: int = 16):
 
 @st.composite
 def machines(draw):
-    P = draw(st.sampled_from([1, 2, 4]))
+    P = draw(st.sampled_from([1, 2, 4, 8, 16]))
     g = draw(st.sampled_from([0.0, 1.0, 3.0]))
     latency = draw(st.sampled_from([0.0, 5.0]))
     if draw(st.booleans()) and P >= 2:
@@ -137,3 +138,35 @@ class TestStateMatchesEvaluate:
         assert np.array_equal(state.step, step_before)
         assert state.total_cost == cost_before
         assert state.succ_min == succ_min_before
+
+    @settings(max_examples=30, deadline=None)
+    @given(dag=random_dags(), machine=machines(), data=st.data())
+    def test_batched_probe_equals_single_probes(self, dag, machine, data):
+        """Each item of a move_deltas_many batch equals its own one-item probe.
+
+        A probe's result must not depend on which nodes share its batch:
+        the deltas are bitwise equal and the rows read are the same.
+        """
+        schedule = LevelRoundRobinScheduler().schedule(dag, machine)
+        state = LocalSearchState(schedule)
+        # Leave the start layout first, so that batches see grown matrices
+        # and moved successor tables too.
+        for _ in range(data.draw(st.integers(min_value=0, max_value=8), label="warm")):
+            v = data.draw(st.integers(min_value=0, max_value=dag.n - 1), label="node")
+            moves = state.candidate_moves(v)
+            if moves:
+                _, p, s = moves[data.draw(
+                    st.integers(min_value=0, max_value=len(moves) - 1), label="move")]
+                state.apply_move(v, p, s)
+        nodes = data.draw(
+            st.lists(st.integers(min_value=0, max_value=dag.n - 1), min_size=2, max_size=8),
+            label="batch",
+        )
+        items = [(v, state.candidate_moves(v)) for v in nodes]
+        deltas, rows = state.move_deltas_many(items)
+        assert len(deltas) == len(rows) == len(items)
+        for (v, moves), got_deltas, got_rows in zip(items, deltas, rows):
+            single_deltas, single_rows = state.move_deltas_many([(v, moves)])
+            assert np.array_equal(got_deltas, state.move_deltas(v, moves))
+            assert np.array_equal(got_deltas, single_deltas[0])
+            assert np.array_equal(got_rows, single_rows[0])
