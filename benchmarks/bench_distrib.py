@@ -33,7 +33,7 @@ from repro.spec import DagSpec, MachineSpec, ProblemSpec, SolveRequest
 BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
 REPO_ROOT = os.path.dirname(BENCH_DIR)
 
-#: Deterministic requests (etf: fast, registry-deterministic, cache-free).
+#: Deterministic requests (etf: fast, deterministic, cache-free).
 REQUESTS = [
     SolveRequest(
         spec=ProblemSpec(

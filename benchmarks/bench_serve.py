@@ -33,7 +33,7 @@ from repro.spec import DagSpec, MachineSpec, ProblemSpec, SolveRequest
 BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
 REPO_ROOT = os.path.dirname(BENCH_DIR)
 
-#: Deterministic, cacheable requests (etf is fast and registry-deterministic).
+#: Deterministic, cacheable requests (etf is fast and deterministic).
 REQUESTS = [
     SolveRequest(
         spec=ProblemSpec(

@@ -40,7 +40,7 @@ from .experiments.runner import (
     WorkItem,
     WorkItemResult,
 )
-from .registry import parse_scheduler_spec, scheduler_info
+from .registry import make_scheduler, scheduler_info
 from .spec import MachineSpec, ProblemSpec, SolveRequest, SolveResult, SpecError
 
 __all__ = [
@@ -66,20 +66,17 @@ def to_solve_result(item: WorkItem, result: WorkItemResult) -> SolveResult:
     This is the single place a :class:`~repro.experiments.runner.WorkItemResult`
     becomes a public :class:`~repro.spec.SolveResult`; the batch facade and
     the :mod:`repro.serve` daemon share it so a served solve is bytewise the
-    result of the equivalent one-shot solve.
+    result of the equivalent one-shot solve, and the single reader of
+    :attr:`repro.scheduler.Scheduler.deterministic` for a valid result.
     """
-    info = scheduler_info(item.scheduler)
-    # The registry flag describes the default configuration; an explicit
-    # wall-clock cutoff in the spec (or a portfolio racing under a budget)
-    # makes this particular run load-dependent.
-    _, kwargs = parse_scheduler_spec(item.scheduler)
-    deterministic = (
-        info.deterministic
-        and kwargs.get("time_limit") is None
-        and kwargs.get("budget") is None
-        # Mirror PortfolioScheduler's case-insensitive mode normalization.
-        and str(kwargs.get("mode") or "").lower() != "race"
-    )
+    if result.valid:
+        description = scheduler_info(item.scheduler).description
+        deterministic = make_scheduler(item.scheduler).deterministic
+    else:
+        # The failed scheduler is not rebuilt to ask (building it may be
+        # what failed); like a request that cannot be built at all, an
+        # invalid result never claims to be deterministic.
+        description, deterministic = result.error, False
     breakdown = result.breakdown
     total = breakdown.get("total_cost")
     if total is None:
@@ -99,7 +96,7 @@ def to_solve_result(item: WorkItem, result: WorkItemResult) -> SolveResult:
         # batch records the failure on the result instead of raising.
         valid=result.valid,
         wall_seconds=float(result.seconds),
-        scheduler_description=result.error if not result.valid else info.description,
+        scheduler_description=description,
         deterministic=deterministic,
     )
 
@@ -124,7 +121,7 @@ def broken_request_result(request: SolveRequest, exc: Exception) -> SolveResult:
         num_supersteps=0,
         valid=False,
         scheduler_description=str(exc),
-        deterministic=True,
+        deterministic=False,
     )
 
 

@@ -1,8 +1,7 @@
 """Registry contract audit: decorator metadata must match factory reality.
 
 :func:`repro.registry.register_scheduler` carries declarative metadata —
-the ``parameters`` a spec string may set, and a ``deterministic`` flag the
-API facade and the solution cache both trust.  Nothing re-checks that
+the ``parameters`` a spec string may set.  Nothing else re-checks that
 metadata against the decorated factory; this rule does, statically:
 
 * a factory taking ``**overrides`` cannot have its parameters derived from
@@ -11,11 +10,10 @@ metadata against the decorated factory; this rule does, statically:
   module-level constant counts), it must cover every named keyword of the
   factory, and — unless the factory takes ``**kwargs`` — must not declare
   parameters the factory does not accept (a spec string setting one would
-  pass the registry's validation and then blow up in the factory);
-* a factory whose ``time_limit`` parameter *defaults* to a number runs
-  wall-clock bounded out of the box, so registering it
-  ``deterministic=True`` would poison the cache and the byte-identity
-  contract of ``solve_many`` — the flag must be ``False``.
+  pass the registry's validation and then blow up in the factory).
+
+Determinism is not registry metadata: each built scheduler reports it
+through ``Scheduler.deterministic``, which a runtime test checks.
 
 Computed ``parameters=`` expressions (e.g. built from a config class's
 field names at import time) cannot be audited statically and are skipped.
@@ -69,7 +67,7 @@ def _constant_tuples(tree: ast.Module) -> Dict[str, Tuple[str, ...]]:
 class RegistryContractRule(Rule):
     name = "registry-contract"
     description = (
-        "@register_scheduler parameters/deterministic metadata must match "
+        "@register_scheduler parameters= metadata must match "
         "the decorated factory's real signature"
     )
 
@@ -128,18 +126,6 @@ class RegistryContractRule(Rule):
                             "argument of the factory",
                         )
 
-        deterministic = keywords.get("deterministic")
-        flagged_deterministic = not (
-            isinstance(deterministic, ast.Constant) and deterministic.value is False
-        )
-        if flagged_deterministic and self._wall_clock_default(args, named):
-            yield module.finding(
-                self.name,
-                call,
-                f"{label}: time_limit defaults to a wall-clock bound, so runs "
-                "are load-dependent — register deterministic=False",
-            )
-
     # ------------------------------------------------------------------
     @staticmethod
     def _entry_name(call: ast.Call) -> Optional[str]:
@@ -159,21 +145,3 @@ class RegistryContractRule(Rule):
         if isinstance(node, ast.Name):
             return constants.get(node.id)
         return None
-
-    @staticmethod
-    def _wall_clock_default(args: ast.arguments, named: List[str]) -> bool:
-        """Whether the ``time_limit`` argument defaults to a number."""
-        defaults: Dict[str, ast.AST] = {}
-        positional = [a.arg for a in args.args if a.arg != "self"]
-        for arg_name, default in zip(positional[len(positional) - len(args.defaults):], args.defaults):
-            defaults[arg_name] = default
-        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-            if default is not None:
-                defaults[arg.arg] = default
-        default = defaults.get("time_limit")
-        return (
-            default is not None
-            and isinstance(default, ast.Constant)
-            and isinstance(default.value, (int, float))
-            and not isinstance(default.value, bool)
-        )

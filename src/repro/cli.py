@@ -1127,7 +1127,8 @@ def _command_list_schedulers(args: argparse.Namespace) -> int:
         rows.append(
             (
                 name,
-                "yes" if info.deterministic else "no",
+                # Of the default configuration: a spec's own limits may differ.
+                "yes" if make_scheduler(name).deterministic else "no",
                 "yes" if info.numa_aware else "no",
                 info.description,
                 ", ".join(info.parameters) if info.parameters else "-",

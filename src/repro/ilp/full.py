@@ -78,6 +78,10 @@ class IlpFullScheduler(Scheduler):
         self.time_limit = time_limit
         self.max_variables = max_variables
 
+    @property
+    def deterministic(self) -> bool:
+        return self.time_limit is None and self.initializer.deterministic
+
     def applicable(self, dag: ComputationalDAG, machine: BspMachine, num_supersteps: int) -> bool:
         """Whether the estimated ILP size is within the configured limit."""
         return estimate_variable_count(dag.n, num_supersteps, machine.P) <= self.max_variables

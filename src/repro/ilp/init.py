@@ -65,6 +65,10 @@ class IlpInitScheduler(Scheduler):
         self.supersteps_per_batch = supersteps_per_batch
         self.time_limit_per_batch = time_limit_per_batch
 
+    @property
+    def deterministic(self) -> bool:
+        return self.time_limit_per_batch is None
+
     def schedule(self, dag: ComputationalDAG, machine: BspMachine) -> BspSchedule:
         n = dag.n
         P = machine.P

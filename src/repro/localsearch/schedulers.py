@@ -45,9 +45,23 @@ class _ImproverScheduler(Scheduler):
         self,
         init: Union[str, Scheduler] = "bspg",
         memory_bound: Optional[object] = None,
+        time_limit: Optional[float] = None,
     ) -> None:
         self.init = init
         self.memory_bound = memory_bound
+        self.time_limit = time_limit
+
+    @property
+    def deterministic(self) -> bool:
+        return self.time_limit is None and self._init_scheduler().deterministic
+
+    def _init_scheduler(self) -> Scheduler:
+        if isinstance(self.init, Scheduler):
+            return self.init
+        # Imported on use: the registry's factories import this module.
+        from ..registry import make_scheduler
+
+        return make_scheduler(str(self.init))
 
     def _machine(self, machine: BspMachine) -> BspMachine:
         """The machine the improver actually works on (bound merged in)."""
@@ -56,14 +70,7 @@ class _ImproverScheduler(Scheduler):
         return machine
 
     def _initial_schedule(self, dag: ComputationalDAG, machine: BspMachine) -> BspSchedule:
-        if isinstance(self.init, Scheduler):
-            base = self.init
-        else:
-            # Resolved lazily: the registry imports this module at load time.
-            from ..registry import make_scheduler
-
-            base = make_scheduler(str(self.init))
-        initial = base.schedule(dag, machine)
+        initial = self._init_scheduler().schedule(dag, machine)
         if machine.has_memory_bounds:
             # Non-memory-aware initializers may start outside the feasible
             # region; repair so the bound-respecting move filter applies.
@@ -93,11 +100,10 @@ class HillClimbingScheduler(_ImproverScheduler):
         init: Union[str, Scheduler] = "bspg",
         memory_bound: Optional[object] = None,
     ) -> None:
-        super().__init__(init, memory_bound)
+        super().__init__(init, memory_bound, time_limit)
         self.variant = variant
         self.max_moves = max_moves
         self.max_passes = max_passes
-        self.time_limit = time_limit
 
     def schedule(self, dag: ComputationalDAG, machine: BspMachine) -> BspSchedule:
         machine = self._machine(machine)
@@ -126,11 +132,10 @@ class SimulatedAnnealingScheduler(_ImproverScheduler):
         init: Union[str, Scheduler] = "bspg",
         memory_bound: Optional[object] = None,
     ) -> None:
-        super().__init__(init, memory_bound)
+        super().__init__(init, memory_bound, time_limit)
         self.steps = steps
         self.cooling = cooling
         self.initial_temperature = initial_temperature
-        self.time_limit = time_limit
         self.seed = seed
 
     def schedule(self, dag: ComputationalDAG, machine: BspMachine) -> BspSchedule:
@@ -159,9 +164,8 @@ class CommHillClimbingScheduler(_ImproverScheduler):
         init: Union[str, Scheduler] = "bspg",
         memory_bound: Optional[object] = None,
     ) -> None:
-        super().__init__(init, memory_bound)
+        super().__init__(init, memory_bound, time_limit)
         self.max_moves = max_moves
-        self.time_limit = time_limit
 
     def schedule(self, dag: ComputationalDAG, machine: BspMachine) -> BspSchedule:
         machine = self._machine(machine)

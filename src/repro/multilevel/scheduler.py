@@ -165,6 +165,10 @@ class MultilevelScheduler(Scheduler):
     def __init__(self, config: Optional[MultilevelConfig] = None) -> None:
         self.config = config or MultilevelConfig()
 
+    @property
+    def deterministic(self) -> bool:
+        return not self.config.base_pipeline.wall_clock_limited()
+
     def schedule(self, dag: ComputationalDAG, machine: BspMachine) -> BspSchedule:
         schedule, _ = multilevel_schedule(dag, machine, self.config)
         return schedule

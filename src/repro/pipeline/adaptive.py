@@ -67,6 +67,11 @@ class AdaptiveScheduler(Scheduler):
             self.multilevel_config = MultilevelConfig(base_pipeline=self.pipeline_config)
         self.last_decision: Optional[AdaptiveDecision] = None
 
+    @property
+    def deterministic(self) -> bool:
+        configs = (self.pipeline_config, self.multilevel_config.base_pipeline)
+        return not any(config.wall_clock_limited() for config in configs)
+
     # ------------------------------------------------------------------
     def _strategies(self, ccr: float) -> Tuple[bool, bool]:
         """(use_base, use_multilevel) for a given CCR."""

@@ -83,6 +83,19 @@ class PipelineConfig:
             ilp_cs_time_limit=300.0,
         )
 
+    def wall_clock_limited(self) -> bool:
+        """Whether a stage that runs has a wall-clock limit (an ILP stage's
+        limit counts only when its ``use_*`` switch is on)."""
+        limits = (
+            (True, self.hc_time_limit),
+            (True, self.hccs_time_limit),
+            (self.use_ilp_init, self.ilp_init_time_limit),
+            (self.use_ilp_full, self.ilp_full_time_limit),
+            (self.use_ilp_partial, self.ilp_partial_time_limit),
+            (self.use_ilp_cs, self.ilp_cs_time_limit),
+        )
+        return any(used and limit is not None for used, limit in limits)
+
     def without_ilp_cs(self) -> "PipelineConfig":
         """Copy with the communication-schedule ILP disabled (used inside the
         multilevel coarse solve, which re-runs ILPcs on the original DAG)."""

@@ -220,5 +220,9 @@ class FrameworkScheduler(Scheduler):
     def __init__(self, config: Optional[PipelineConfig] = None) -> None:
         self.config = config or PipelineConfig()
 
+    @property
+    def deterministic(self) -> bool:
+        return not self.config.wall_clock_limited()
+
     def schedule(self, dag: ComputationalDAG, machine: BspMachine) -> BspSchedule:
         return run_pipeline(dag, machine, self.config).schedule

@@ -150,6 +150,12 @@ RULES: Tuple[SelectionRule, ...] = (
 )
 
 
+def _allowed_rules(candidates: Optional[Sequence[str]]) -> List[SelectionRule]:
+    """The rules whose spec is in ``candidates`` (all rules without them)."""
+    allowed = None if candidates is None else {c.strip().lower() for c in candidates}
+    return [rule for rule in RULES if allowed is None or rule.spec.lower() in allowed]
+
+
 def select_scheduler(
     features: InstanceFeatures,
     *,
@@ -162,12 +168,7 @@ def select_scheduler(
     candidate if no rule survives the restriction).  Returns the chosen spec
     and the rule that fired.
     """
-    allowed = None
-    if candidates is not None:
-        allowed = {c.strip().lower() for c in candidates}
-    for rule in RULES:
-        if allowed is not None and rule.spec.lower() not in allowed:
-            continue
+    for rule in _allowed_rules(candidates):
         if rule.matches(features):
             return rule.spec, rule
     if not candidates:
@@ -446,6 +447,17 @@ class PortfolioScheduler(Scheduler):
         spec, rule = select_scheduler(features, candidates=self.candidates)
         return spec, features, rule
 
+    @property
+    def deterministic(self) -> bool:
+        if self.mode != "rules" or self.budget is not None:
+            return False
+        from ..registry import make_scheduler
+
+        # Every spec it may choose: allowed rules plus the first-candidate fallback.
+        choices = [rule.spec for rule in _allowed_rules(self.candidates)]
+        choices += list(self.candidates or ())[:1]
+        return all(make_scheduler(spec).deterministic for spec in choices)
+
     def _race_candidates(self) -> Sequence[str]:
         return self.candidates if self.candidates else DEFAULT_RACE_CANDIDATES
 
@@ -525,5 +537,5 @@ class PortfolioScheduler(Scheduler):
             num_supersteps=int(breakdown.num_supersteps),
             valid=True,
             scheduler_description=f"portfolio[{self.last_chosen}]",
-            deterministic=self.mode == "rules" and self.budget is None,
+            deterministic=self.deterministic,
         )

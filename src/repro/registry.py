@@ -8,8 +8,8 @@ used in the paper's tables.
 
 Registration is declarative — a factory function decorated with
 :func:`register_scheduler` carries per-scheduler metadata (description,
-determinism, NUMA awareness) and its keyword parameters become reachable
-from a *spec string*::
+NUMA awareness) and its keyword parameters become reachable from a *spec
+string*::
 
     make_scheduler("cilk")
     make_scheduler("multilevel(preset=default, min_coarse_nodes=16)")
@@ -24,6 +24,10 @@ table labels are case-insensitive everywhere.
 Registration is eager (every name, description and parameter tuple exists as
 soon as this module is imported), but each factory imports its scheduler
 class when it is called, so building one scheduler loads only its modules.
+
+Whether a run is reproducible is not registry metadata: it depends on the
+resolved configuration (does a stage that runs have a wall-clock limit?),
+so each built scheduler answers it through :attr:`Scheduler.deterministic`.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from .scheduler import Scheduler
 
 __all__ = [
     "SchedulerInfo",
-    "SCHEDULER_BUILDERS",
     "TABLE_LABELS",
     "available_schedulers",
     "canonical_scheduler_spec",
@@ -65,12 +68,6 @@ class SchedulerInfo:
     name: str
     factory: Callable[..., Scheduler]
     description: str = ""
-    #: Whether repeated runs on the same instance produce the same schedule
-    #: *in the default configuration* (ILP stages run under wall-clock limits
-    #: and are not reproducible run-to-run; seeded randomness is considered
-    #: deterministic).  Explicitly setting a ``time_limit`` parameter in a
-    #: spec string makes any scheduler wall-clock bounded.
-    deterministic: bool = True
     #: Whether the algorithm takes per-pair NUMA coefficients into account.
     numa_aware: bool = True
     #: Keyword parameters reachable from a spec string.
@@ -88,7 +85,6 @@ def register_scheduler(
     name: str,
     *,
     description: str = "",
-    deterministic: bool = True,
     numa_aware: bool = True,
     parameters: Optional[Tuple[str, ...]] = None,
 ) -> Callable[[Callable[..., Scheduler]], Callable[..., Scheduler]]:
@@ -114,7 +110,6 @@ def register_scheduler(
             name=key,
             factory=factory,
             description=description,
-            deterministic=deterministic,
             numa_aware=numa_aware,
             parameters=params,
         )
@@ -287,7 +282,28 @@ def canonical_scheduler_spec(
             kwargs["time_limit"] = float(time_budget)
         elif info.accepts("budget") and "budget" not in kwargs:
             kwargs["budget"] = float(time_budget)
+    if info.accepts("preset"):
+        _drop_preset_values(info, kwargs)
     return format_scheduler_spec(name, kwargs)
+
+
+def _drop_preset_values(info: SchedulerInfo, kwargs: Dict[str, Any]) -> None:
+    """Drop a default ``preset`` and every knob equal to its preset's value,
+    so one computation has one spec (and cache key): ``framework(preset=fast,
+    hc_max_moves=200)`` is ``framework``.  An unknown preset is kept."""
+    preset = str(kwargs.get("preset", _DEFAULT_PRESET)).strip().lower()
+    try:
+        pipeline = PipelineConfig.preset(preset)
+    except ValueError:
+        return
+    multilevel = MultilevelConfig(base_pipeline=pipeline)
+    kwargs.pop("preset", None)
+    for key in [k for k in kwargs if info.accepts(k)]:
+        owner = pipeline if key in PipelineConfig.field_names() else multilevel
+        if kwargs[key] == getattr(owner, key):
+            del kwargs[key]
+    if preset != _DEFAULT_PRESET:
+        kwargs["preset"] = preset
 
 
 # ----------------------------------------------------------------------
@@ -341,7 +357,6 @@ def make_scheduler(spec: str) -> Scheduler:
 @register_scheduler(
     "cilk",
     description="Cilk work-stealing simulation baseline",
-    deterministic=True,
     numa_aware=False,
 )
 def _make_cilk(seed: int = 0) -> Scheduler:
@@ -353,8 +368,6 @@ def _make_cilk(seed: int = 0) -> Scheduler:
 @register_scheduler(
     "bl-est",
     description="Bottom-level earliest-start-time list scheduler",
-    deterministic=True,
-    numa_aware=True,
 )
 def _make_bl_est() -> Scheduler:
     from .baselines.list_schedulers import BlEstScheduler
@@ -365,8 +378,6 @@ def _make_bl_est() -> Scheduler:
 @register_scheduler(
     "etf",
     description="Earliest-task-first list scheduler",
-    deterministic=True,
-    numa_aware=True,
 )
 def _make_etf() -> Scheduler:
     from .baselines.list_schedulers import EtfScheduler
@@ -377,7 +388,6 @@ def _make_etf() -> Scheduler:
 @register_scheduler(
     "hdagg",
     description="HDagg-style level-set aggregation baseline",
-    deterministic=True,
     numa_aware=False,
 )
 def _make_hdagg(aggregation_factor: float = 2.0, balance_slack: float = 1.1) -> Scheduler:
@@ -389,7 +399,6 @@ def _make_hdagg(aggregation_factor: float = 2.0, balance_slack: float = 1.1) -> 
 @register_scheduler(
     "trivial",
     description="Everything on one processor (communication-free reference)",
-    deterministic=True,
     numa_aware=False,
 )
 def _make_trivial() -> Scheduler:
@@ -401,7 +410,6 @@ def _make_trivial() -> Scheduler:
 @register_scheduler(
     "greedy-mem",
     description="Memory-aware greedy list scheduler (respects per-processor memory bounds)",
-    deterministic=True,
     numa_aware=False,
 )
 def _make_greedy_mem(memory_bound: Optional[object] = None, policy: str = "est") -> Scheduler:
@@ -413,7 +421,6 @@ def _make_greedy_mem(memory_bound: Optional[object] = None, policy: str = "est")
 @register_scheduler(
     "level-rr",
     description="Level-by-level round-robin assignment",
-    deterministic=True,
     numa_aware=False,
 )
 def _make_level_rr() -> Scheduler:
@@ -426,7 +433,6 @@ def _make_level_rr() -> Scheduler:
 @register_scheduler(
     "bspg",
     description="BSPg greedy initialization heuristic",
-    deterministic=True,
     numa_aware=False,
 )
 def _make_bspg(idle_fraction: float = 0.5) -> Scheduler:
@@ -438,7 +444,6 @@ def _make_bspg(idle_fraction: float = 0.5) -> Scheduler:
 @register_scheduler(
     "source",
     description="Source-partition initialization heuristic",
-    deterministic=True,
     numa_aware=False,
 )
 def _make_source() -> Scheduler:
@@ -450,8 +455,6 @@ def _make_source() -> Scheduler:
 @register_scheduler(
     "ilp-init",
     description="Batch-by-batch ILP construction of an initial schedule",
-    deterministic=False,
-    numa_aware=True,
 )
 def _make_ilp_init(
     max_variables: int = 2000,
@@ -471,8 +474,6 @@ def _make_ilp_init(
 @register_scheduler(
     "ilp-full",
     description="Full BSP ILP seeded by an initialization heuristic",
-    deterministic=False,
-    numa_aware=True,
 )
 def _make_ilp_full(
     time_limit: Optional[float] = 60.0,
@@ -492,8 +493,6 @@ def _make_ilp_full(
 @register_scheduler(
     "hc",
     description="Hill climbing (HC) on top of an initialization scheduler",
-    deterministic=True,
-    numa_aware=True,
 )
 def _make_hc(
     variant: str = "first",
@@ -518,8 +517,6 @@ def _make_hc(
 @register_scheduler(
     "hccs",
     description="Communication-schedule hill climbing (HCcs) on an initial schedule",
-    deterministic=True,
-    numa_aware=True,
 )
 def _make_hccs(
     max_moves: Optional[int] = None,
@@ -537,8 +534,6 @@ def _make_hccs(
 @register_scheduler(
     "sa",
     description="Seeded simulated annealing on the HC move neighbourhood",
-    deterministic=True,
-    numa_aware=True,
 )
 def _make_sa(
     steps: int = 2000,
@@ -564,17 +559,16 @@ def _make_sa(
 
 # Combined schedulers (paper Figures 3 and 4).  ``preset`` picks the limits
 # (``PipelineConfig.preset``); the remaining keywords override single knobs.
+_DEFAULT_PRESET = "fast"
 _PIPELINE_PARAMS = ("preset",) + tuple(sorted(PipelineConfig.field_names()))
 
 
 @register_scheduler(
     "framework",
     description="The paper's combined pipeline (init + HC/HCcs + ILP stages), fast limits",
-    deterministic=False,
-    numa_aware=True,
     parameters=_PIPELINE_PARAMS,
 )
-def _make_framework(preset: str = "fast", **overrides: Any) -> Scheduler:
+def _make_framework(preset: str = _DEFAULT_PRESET, **overrides: Any) -> Scheduler:
     from .pipeline.framework import FrameworkScheduler
 
     return FrameworkScheduler(PipelineConfig.preset(preset).with_overrides(**overrides))
@@ -588,11 +582,9 @@ _MULTILEVEL_PARAMS = ("preset",) + tuple(
 @register_scheduler(
     "multilevel",
     description="Multilevel coarsen-solve-refine scheduler, fast pipeline limits",
-    deterministic=False,
-    numa_aware=True,
     parameters=_MULTILEVEL_PARAMS,
 )
-def _make_multilevel(preset: str = "fast", **overrides: Any) -> Scheduler:
+def _make_multilevel(preset: str = _DEFAULT_PRESET, **overrides: Any) -> Scheduler:
     from .multilevel.scheduler import MultilevelScheduler
 
     config = MultilevelConfig(base_pipeline=PipelineConfig.preset(preset))
@@ -603,8 +595,6 @@ def _make_multilevel(preset: str = "fast", **overrides: Any) -> Scheduler:
 @register_scheduler(
     "adaptive",
     description="CCR-based dispatch between the pipeline and the multilevel scheduler",
-    deterministic=False,
-    numa_aware=True,
 )
 def _make_adaptive(ccr_threshold: float = 8.0, margin: float = 0.5) -> Scheduler:
     from .pipeline.adaptive import AdaptiveScheduler
@@ -617,11 +607,6 @@ def _make_adaptive(ccr_threshold: float = 8.0, margin: float = 0.5) -> Scheduler
     "portfolio",
     description="Per-instance scheduler selection (feature rules or budgeted "
     "racing) with an optional content-addressed solution cache",
-    # The default configuration (rules mode) delegates only to deterministic
-    # schedulers through a deterministic decision list; race mode is
-    # wall-clock dependent and flagged per-spec by the API facade.
-    deterministic=True,
-    numa_aware=True,
 )
 def _make_portfolio(
     mode: str = "rules",
@@ -641,13 +626,6 @@ def _make_portfolio(
         seed=seed,
         jobs=jobs,
     )
-
-
-#: Name -> zero-argument factory view of the registry (legacy surface; all
-#: registered factories build their default configuration with no arguments).
-SCHEDULER_BUILDERS: Dict[str, Callable[[], Scheduler]] = {
-    name: info.factory for name, info in _REGISTRY.items()
-}
 
 
 # ----------------------------------------------------------------------

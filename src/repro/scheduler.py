@@ -29,6 +29,12 @@ class Scheduler(abc.ABC):
     #: Short identifier used in experiment tables (e.g. ``"Cilk"``).
     name: str = "scheduler"
 
+    @property
+    def deterministic(self) -> bool:
+        """Whether repeated runs give the same schedule: false only when a
+        wall-clock limit can cut a run short (seeded randomness is fine)."""
+        return True
+
     @abc.abstractmethod
     def schedule(self, dag: ComputationalDAG, machine: BspMachine) -> BspSchedule:
         """Compute a valid BSP schedule of ``dag`` on ``machine``."""

@@ -288,17 +288,6 @@ class TestRegistryContractRule:
         assert len(report.findings) == 1
         assert "declare parameters= explicitly" in report.findings[0].message
 
-    def test_wall_clock_default_must_not_claim_deterministic(self, tmp_path):
-        report = check(tmp_path, RegistryContractRule(), {
-            "factories.py": """
-                @register_scheduler("ilp", parameters=("time_limit",))
-                def make_ilp(time_limit=5.0):
-                    return object()
-            """,
-        })
-        assert len(report.findings) == 1
-        assert "deterministic=False" in report.findings[0].message
-
     def test_consistent_registration_is_clean(self, tmp_path):
         report = check(tmp_path, RegistryContractRule(), {
             "factories.py": """
@@ -308,8 +297,7 @@ class TestRegistryContractRule:
                 def make_foo(alpha=1, beta=2):
                     return object()
 
-                @register_scheduler("ilp", parameters=("time_limit",),
-                                    deterministic=False)
+                @register_scheduler("ilp", parameters=("time_limit",))
                 def make_ilp(time_limit=5.0):
                     return object()
             """,

@@ -325,7 +325,7 @@ class TestSpecAndApiEntryPoints:
 
     def test_registry_metadata(self):
         info = scheduler_info("greedy-mem")
-        assert info.deterministic
+        assert make_scheduler("greedy-mem").deterministic
         assert "memory" in info.description.lower()
         assert scheduler_info("hc").accepts("memory_bound")
         assert scheduler_info("multilevel").accepts("memory_bound")

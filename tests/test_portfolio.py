@@ -144,11 +144,11 @@ class TestRules:
 
     def test_every_rule_spec_is_registered(self):
         from repro.portfolio.selector import RULES
-        from repro.registry import scheduler_info
+        from repro.registry import make_scheduler
 
         for rule in RULES:
-            info = scheduler_info(rule.spec)  # raises on unknown specs
-            assert info.deterministic, f"rules must stay deterministic: {rule.name}"
+            scheduler = make_scheduler(rule.spec)  # raises on unknown specs
+            assert scheduler.deterministic, f"rules must stay deterministic: {rule.name}"
 
 
 class TestRace:

@@ -101,7 +101,7 @@ class TestSpecStrings:
 
     def test_scheduler_info_metadata(self):
         info = scheduler_info("cilk")
-        assert info.deterministic and not info.numa_aware
+        assert make_scheduler("cilk").deterministic and not info.numa_aware
         assert "seed" in info.parameters
 
     def test_register_scheduler_decorator_rejects_duplicates(self):

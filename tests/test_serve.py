@@ -33,7 +33,10 @@ from repro.serve.client import (
 )
 from repro.serve.pool import Ticket, WorkerPool, percentiles
 from repro.serve.server import ServeConfig, SolveServer
-from repro.spec import DagSpec, MachineSpec, ProblemSpec, SolveRequest
+from repro.spec import DagSpec, MachineSpec, ProblemSpec, SolveRequest, SolveResult
+
+#: The paper's pipeline with every wall-clock limit off: deterministic, so cached.
+WORK_LIMITED_FRAMEWORK = "framework(preset=heuristics, hc_time_limit=none, hccs_time_limit=none)"
 
 
 # ----------------------------------------------------------------------
@@ -44,12 +47,12 @@ if "test-sleepy" not in available_schedulers():
     @register_scheduler(
         "test-sleepy",
         description="test-only: sleeps, then delegates to etf",
-        deterministic=False,
         numa_aware=False,
     )
     def _make_sleepy(delay: float = 0.2) -> Scheduler:
         class Sleepy(Scheduler):
             name = "test-sleepy"
+            deterministic = False
 
             def schedule(self, dag, machine):
                 time.sleep(delay)
@@ -60,7 +63,6 @@ if "test-sleepy" not in available_schedulers():
     @register_scheduler(
         "test-explode",
         description="test-only: always raises SchedulingError",
-        deterministic=True,
         numa_aware=False,
     )
     def _make_explode() -> Scheduler:
@@ -257,6 +259,29 @@ class TestServerBasics:
         assert stats["requests"]["cache_hits"] == 0
         assert stats["cache"]["stores"] == 0
 
+    def test_work_limited_framework_is_served_from_cache(self, server):
+        request = request_for(scheduler=WORK_LIMITED_FRAMEWORK)
+        conn = RawConnection(server.address)
+        try:
+            responses = []
+            for rid in (1, 2):
+                conn.send(protocol.solve_message(request.to_dict(), id=rid))
+                responses.append(conn.recv())
+        finally:
+            conn.close()
+        assert [r["cached"] for r in responses] == [False, True]
+        cold, warm = (SolveResult.from_dict(r["result"]) for r in responses)
+        assert cold.deterministic
+        assert warm.to_json() == cold.to_json() == api.solve(request).to_json()
+
+    def test_nested_wall_clock_limit_is_never_stored(self, client):
+        request = request_for(scheduler="hc(init=ilp-full)", n=2)
+        client.solve(request)
+        assert client.solve(request).deterministic is False
+        stats = client.stats()
+        assert stats["requests"]["cache_hits"] == 0
+        assert stats["cache"]["stores"] == 0
+
     def test_cache_disabled_with_empty_dir(self):
         with SolveServer(ServeConfig(port=0, jobs=1, cache_dir="")) as srv:
             assert srv.cache is None
@@ -280,6 +305,13 @@ class TestStructuredErrors:
         assert excinfo.value.code == protocol.E_SCHEDULER
         assert excinfo.value.result is not None
         assert excinfo.value.result["valid"] is False
+
+    def test_unknown_init_embeds_invalid_result(self, client):
+        with pytest.raises(ServeError) as excinfo:
+            client.solve(request_for(scheduler="hc(init=nosuch)"))
+        assert excinfo.value.code == protocol.E_SCHEDULER
+        assert excinfo.value.result["valid"] is False
+        assert "unknown scheduler 'nosuch'" in excinfo.value.result["scheduler_description"]
 
     def test_tolerant_solve_many_matches_tolerant_batch(self, client):
         requests = [

@@ -65,7 +65,7 @@ class TestEverySchedulerConstructible:
         for name in available_schedulers():
             info = scheduler_info(name)
             assert info.description, name
-            assert isinstance(info.deterministic, bool)
+            assert isinstance(make_scheduler(name).deterministic, bool)
             assert isinstance(info.numa_aware, bool)
 
     def test_canonical_spec_is_a_fixed_point(self):
@@ -78,6 +78,21 @@ class TestEverySchedulerConstructible:
             assert canonical_scheduler_spec(canonical) == canonical, spec
             name, kwargs = parse_scheduler_spec(canonical)
             assert format_scheduler_spec(name, kwargs) == canonical, spec
+
+    def test_preset_values_share_one_canonical_spec(self):
+        specs = [
+            "framework",
+            "framework(preset=fast)",
+            "framework(preset=fast, hc_max_moves=200)",
+        ]
+        assert {canonical_scheduler_spec(spec) for spec in specs} == {"framework"}
+        assert canonical_scheduler_spec("multilevel(preset=FAST, min_coarse_nodes=8)") == "multilevel"
+        # Knobs that differ from the preset, and other presets, stay.
+        assert canonical_scheduler_spec("framework(hc_max_moves=100)") == "framework(hc_max_moves=100)"
+        assert (
+            canonical_scheduler_spec("framework(preset=Heuristics, use_ilp_full=false)")
+            == "framework(preset=heuristics)"
+        )
 
 
 class TestParameterizedFormsParseBack:
