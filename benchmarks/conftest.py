@@ -1,12 +1,13 @@
 """Shared fixtures for the benchmark harness.
 
-Every benchmark regenerates one table or figure of the paper's evaluation.
-To keep the harness runnable on a laptop / CI machine, the default datasets
-are the ``smoke``-scale versions (a handful of instances per dataset, a few
-hundred nodes at most) and the pipeline runs with the ``fast`` configuration.
+``bench_tables.py`` regenerates every table and figure of the paper's
+evaluation through ``repro.experiments.tables.reproduce``, which declares the
+grids; the other suites time kernels, the portfolio, serving and the
+distributed queue.  By default everything runs on the ``smoke``-scale
+datasets (a handful of instances per dataset, a few hundred nodes at most).
 The *shape* of the results (who wins, roughly by how much, how the gap grows
-with g, P and delta) reproduces the paper; absolute numbers do not, and are
-recorded against the paper's in EXPERIMENTS.md.
+with g, P and delta) reproduces the paper; absolute numbers do not (see the
+README section "Reproducing the paper's tables and figures").
 
 Set the environment variable ``REPRO_BENCH_SCALE`` to ``reduced`` or
 ``paper`` to run the heavier versions.
@@ -15,13 +16,12 @@ Set the environment variable ``REPRO_BENCH_SCALE`` to ``reduced`` or
 from __future__ import annotations
 
 import os
-from typing import Dict, List
+from typing import List
 
 import pytest
 
-from repro.experiments.datasets import build_dataset, build_training_set
+from repro.experiments.datasets import build_dataset
 from repro.graphs.dag import ComputationalDAG
-from repro.pipeline.config import MultilevelConfig, PipelineConfig
 
 SCALE = os.environ.get("REPRO_BENCH_SCALE", "smoke")
 
@@ -38,44 +38,6 @@ def _instances(name: str) -> List[ComputationalDAG]:
 
 
 @pytest.fixture(scope="session")
-def bench_scale() -> str:
-    return SCALE
-
-
-@pytest.fixture(scope="session")
-def jobs() -> int:
-    """Worker count for benchmarks ported to the parallel experiment engine."""
-    return JOBS
-
-
-@pytest.fixture(scope="session")
-def fast_config() -> PipelineConfig:
-    config = PipelineConfig.fast()
-    if SCALE != "smoke":
-        config = PipelineConfig()
-    return config
-
-
-@pytest.fixture(scope="session")
-def heuristics_config() -> PipelineConfig:
-    config = PipelineConfig.heuristics_only()
-    if SCALE == "smoke":
-        config.hc_time_limit = 5.0
-        config.hccs_time_limit = 1.0
-    return config
-
-
-@pytest.fixture(scope="session")
-def multilevel_config(fast_config) -> MultilevelConfig:
-    return MultilevelConfig(
-        coarsening_ratios=(0.3, 0.15),
-        min_coarse_nodes=8,
-        hc_moves_per_refinement=50,
-        base_pipeline=fast_config,
-    )
-
-
-@pytest.fixture(scope="session")
 def tiny_dataset() -> List[ComputationalDAG]:
     return _instances("tiny")
 
@@ -83,40 +45,6 @@ def tiny_dataset() -> List[ComputationalDAG]:
 @pytest.fixture(scope="session")
 def small_dataset() -> List[ComputationalDAG]:
     return _instances("small")
-
-
-@pytest.fixture(scope="session")
-def medium_dataset() -> List[ComputationalDAG]:
-    return _instances("medium")
-
-
-@pytest.fixture(scope="session")
-def large_dataset() -> List[ComputationalDAG]:
-    return _instances("large")
-
-
-@pytest.fixture(scope="session")
-def huge_dataset() -> List[ComputationalDAG]:
-    return _instances("huge")
-
-
-@pytest.fixture(scope="session")
-def main_datasets(tiny_dataset, small_dataset) -> Dict[str, List[ComputationalDAG]]:
-    """The dataset dictionary used by the no-NUMA and NUMA grids.
-
-    At smoke scale only the two smallest datasets are swept (the per-dataset
-    benches cover the others); at larger scales medium/large join in.
-    """
-    datasets = {"tiny": tiny_dataset, "small": small_dataset}
-    if SCALE != "smoke":
-        datasets["medium"] = _instances("medium")
-        datasets["large"] = _instances("large")
-    return datasets
-
-
-@pytest.fixture(scope="session")
-def training_set() -> List[ComputationalDAG]:
-    return build_training_set(scale=SCALE if SCALE in ("paper", "reduced", "smoke") else "smoke")
 
 
 def run_once(benchmark, fn):
@@ -132,8 +60,8 @@ def emit():
     """Print a regenerated table and persist it under ``benchmarks/results/``.
 
     pytest captures stdout by default, so the persisted files are the easy
-    way to look at the regenerated tables after a benchmark run (they are
-    also the source of the measured numbers recorded in EXPERIMENTS.md).
+    way to look at the regenerated tables after a benchmark run (see the
+    README section "Reproducing the paper's tables and figures").
     """
     os.makedirs(RESULTS_DIR, exist_ok=True)
 

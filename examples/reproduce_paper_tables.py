@@ -45,7 +45,8 @@ def main() -> None:
 
     print("Note: at reduced scales the absolute numbers differ from the paper;")
     print("the qualitative shape (who wins, and how the gap grows with g, P and")
-    print("delta) is what this reproduction targets — see EXPERIMENTS.md.")
+    print("delta) is what this reproduction targets — see the README section")
+    print("\"Reproducing the paper's tables and figures\".")
 
 
 if __name__ == "__main__":

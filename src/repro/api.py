@@ -200,18 +200,11 @@ def solve_many(
         jobs, checkpoint=checkpoint_path, resume=resume, tolerant=tolerant
     )
     results = runner.execute(items)
-    # A resumed record from a pre-breakdown checkpoint format carries only
-    # the total cost; re-solve those items (on the pool, like any other
-    # batch) instead of fabricating a zeroed breakdown, and append the
-    # upgraded records so the next resume finds them (later records win).
-    # A strict batch likewise re-runs invalid records resumed from an
-    # earlier *tolerant* run — strict callers are promised an exception,
+    # A strict batch re-runs (and re-records) invalid records resumed from
+    # an earlier *tolerant* run: strict callers are promised an exception,
     # not a silent valid=False result, and the re-run raises the real error.
     stale = [
-        item
-        for item, result in zip(items, results)
-        if (result.valid and not result.breakdown)
-        or (not tolerant and not result.valid)
+        item for item, result in zip(items, results) if not tolerant and not result.valid
     ]
     if stale:
         redone = ParallelRunner(jobs, tolerant=tolerant).execute(stale)

@@ -3,8 +3,8 @@
 The paper aggregates per-instance cost ratios with the geometric mean (more
 appropriate for ratios than the arithmetic mean) and reports improvements as
 ``1 - geomean(ratio)``.  The :class:`Table` helper renders the regenerated
-tables as aligned plain text for the benchmark harness output and
-EXPERIMENTS.md.
+tables as aligned plain text for ``repro repro`` and the benchmark harness
+(see the README section "Reproducing the paper's tables and figures").
 """
 
 from __future__ import annotations

@@ -2,10 +2,10 @@
 
 Each ``make_*`` function runs the relevant experiment configuration over the
 datasets it is given and returns one or more :class:`~repro.experiments.report.Table`
-objects whose rows mirror the corresponding table/figure of the paper.  The
-benchmark harness under ``benchmarks/`` calls these functions with
-(reduced-scale) datasets and prints the resulting tables; EXPERIMENTS.md
-records the measured numbers next to the paper's.
+objects whose rows mirror the corresponding table/figure of the paper.
+:func:`reproduce` is the one place that picks each artifact's datasets and
+grid; ``repro repro`` and ``benchmarks/bench_tables.py`` both run it (see
+the README section "Reproducing the paper's tables and figures").
 
 Figures are bar charts of mean cost ratios in the paper; here they are
 rendered as tables with one column per bar ("Cilk", "HDagg", "Init", "HCcs",
@@ -659,7 +659,7 @@ def reproduce(
 
     The parameter grids are the reduced laptop-scale grids also used by the
     benchmark harness; the *shape* of the results reproduces the paper,
-    absolute numbers do not (see EXPERIMENTS.md).
+    absolute numbers do not (README: "Reproducing the paper's tables and figures").
     """
     from .datasets import build_dataset, build_training_set
 

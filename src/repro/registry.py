@@ -35,7 +35,7 @@ from __future__ import annotations
 import inspect
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .pipeline.config import MultilevelConfig, PipelineConfig
@@ -72,6 +72,8 @@ class SchedulerInfo:
     numa_aware: bool = True
     #: Keyword parameters reachable from a spec string.
     parameters: Tuple[str, ...] = ()
+    #: The factory's default value of each parameter that has one.
+    defaults: Dict[str, Any] = field(default_factory=dict, hash=False)
 
     def accepts(self, parameter: str) -> bool:
         """Whether a spec string may set ``parameter`` for this scheduler."""
@@ -98,20 +100,19 @@ def register_scheduler(
         key = name.strip().lower()
         if key in _REGISTRY:
             raise ValueError(f"scheduler {key!r} is already registered")
-        if parameters is not None:
-            params = tuple(parameters)
-        else:
-            params = tuple(
-                p.name
-                for p in inspect.signature(factory).parameters.values()
-                if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
-            )
+        named = [
+            p
+            for p in inspect.signature(factory).parameters.values()
+            if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
+        ]
+        params = tuple(parameters) if parameters is not None else tuple(p.name for p in named)
         _REGISTRY[key] = SchedulerInfo(
             name=key,
             factory=factory,
             description=description,
             numa_aware=numa_aware,
             parameters=params,
+            defaults={p.name: p.default for p in named if p.default is not p.empty},
         )
         return factory
 
@@ -270,8 +271,11 @@ def canonical_scheduler_spec(
     ``time_limit`` parameter (or, for schedulers like the portfolio that
     take a wall-clock ``budget`` instead, onto ``budget``) — only when the
     scheduler's factory accepts them and the spec string does not already
-    set them.  Parsing and re-rendering the result is an identity, which
-    keeps work-item signatures (and therefore checkpoint resume) stable.
+    set them.  Arguments equal to the factory's default are dropped and an
+    ``init=`` spec is canonicalized in turn, so ``hc``, ``hc(init=bspg)``
+    and ``hc(init="bspg(idle_fraction=0.5)")`` share one spec (and cache
+    key).  Parsing and re-rendering the result is an identity, which keeps
+    work-item signatures (and therefore checkpoint resume) stable.
     """
     name, kwargs = parse_scheduler_spec(spec)
     info = _lookup(name, spec)
@@ -282,6 +286,15 @@ def canonical_scheduler_spec(
             kwargs["time_limit"] = float(time_budget)
         elif info.accepts("budget") and "budget" not in kwargs:
             kwargs["budget"] = float(time_budget)
+    init = kwargs.get("init")
+    if isinstance(init, str):
+        try:
+            kwargs["init"] = canonical_scheduler_spec(init)
+        except ValueError:
+            pass  # left for make_scheduler to report
+    for key, default in info.defaults.items():
+        if key in kwargs and kwargs[key] == default:
+            del kwargs[key]
     if info.accepts("preset"):
         _drop_preset_values(info, kwargs)
     return format_scheduler_spec(name, kwargs)

@@ -80,28 +80,6 @@ class TestSolveMany:
         resumed = api.solve_many(requests, checkpoint=checkpoint, resume=True)
         assert [r.to_dict() for r in first] == [r.to_dict() for r in resumed]
 
-    def test_resume_from_pre_breakdown_checkpoint_resolves(self, spmv_spec, tmp_path):
-        # Records written by the pre-v2 engine carry no breakdown; resume
-        # must re-solve those items rather than report zeroed costs.
-        import json
-
-        checkpoint = tmp_path / "old.jsonl"
-        requests = [SolveRequest(spec=spmv_spec, scheduler="cilk")]
-        fresh = api.solve_many(requests, checkpoint=checkpoint)
-        stripped = []
-        for line in checkpoint.read_text().splitlines():
-            record = json.loads(line)
-            record.pop("breakdown", None)
-            stripped.append(json.dumps(record, sort_keys=True))
-        checkpoint.write_text("\n".join(stripped) + "\n")
-        resumed = api.solve_many(requests, checkpoint=checkpoint, resume=True)
-        assert [r.to_dict() for r in resumed] == [r.to_dict() for r in fresh]
-        assert resumed[0].work_cost > 0 and resumed[0].num_supersteps > 0
-        # The upgraded record is appended, so the next resume needs no re-solve.
-        from repro.experiments.persistence import read_checkpoint
-
-        assert any(r.get("breakdown") for r in read_checkpoint(checkpoint))
-
     def test_explicit_time_limit_clears_deterministic_flag(self, spmv_spec):
         result = api.solve(
             SolveRequest(spec=spmv_spec, scheduler="hc(max_moves=5, time_limit=30)")

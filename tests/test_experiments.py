@@ -1,5 +1,7 @@
 """Tests for the experiment harness: reporting, datasets, runner, tables."""
 
+import re
+from pathlib import Path
 
 import pytest
 
@@ -157,3 +159,10 @@ class TestPaperTables:
             tiny_datasets["tiny"], P_values=(2,), g_values=(1,), latency=3, config=config, grid=grid
         )
         assert len(table.rows) == 1 and len(fig.rows) == 1
+
+    def test_readme_table_lists_every_repro_target(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Reproducing the paper's tables and figures", 1)[1].split("\n## ", 1)[0]
+        rows = re.findall(r"^\| .+ \| `python -m repro repro (\w+)` \| `test_reproduce\[(\w+)\]` \|$", section, re.M)
+        assert [cli for cli, _ in rows] == [case for _, case in rows]
+        assert sorted(cli for cli, _ in rows) == sorted(paper_tables.REPRO_TARGETS)

@@ -93,6 +93,20 @@ class TestEverySchedulerConstructible:
             canonical_scheduler_spec("framework(preset=Heuristics, use_ilp_full=false)")
             == "framework(preset=heuristics)"
         )
+        # Any factory default is dropped, and init= specs canonicalize in turn.
+        pairs = [
+            ("hc", "hc(init=bspg)"),
+            ("hc(init=framework)", "hc(init=framework(preset=fast))"),
+            ("hccs", 'hccs(init="bspg(idle_fraction=0.5)", max_moves=none)'),
+            ("sa(init=source)", "sa(init=source, seed=0, steps=2000)"),
+            ("ilp-full(init=hc)", "ilp-full(init=hc(init=bspg), time_limit=60.0)"),
+            ("cilk", "cilk(seed=0)"),
+        ]
+        for short, spelled in pairs:
+            assert canonical_scheduler_spec(spelled) == canonical_scheduler_spec(short) == short
+        # A non-default value stays, and an unknown init is left for make_scheduler.
+        assert canonical_scheduler_spec("hc(init=source)") == "hc(init=source)"
+        assert canonical_scheduler_spec("hc(init=nosuch)") == "hc(init=nosuch)"
 
 
 class TestParameterizedFormsParseBack:
