@@ -24,7 +24,6 @@ import pytest
 from conftest import JOBS, SCALE, run_once
 
 from repro.experiments import tables as paper_tables
-from repro.experiments.datasets import DATASET_RANGES
 from repro.experiments.report import Table
 
 
@@ -47,9 +46,7 @@ def _by_p(headers: List[str], values: List[float]) -> Dict[float, List[float]]:
 
 
 def _assert_one_row_per_dataset(table: Table) -> None:
-    names = [row[0] for row in table.rows]
-    assert names and len(set(names)) == len(names)
-    assert set(names) <= set(DATASET_RANGES[SCALE])
+    assert [row[0] for row in table.rows] == list(paper_tables.main_datasets(SCALE))
 
 
 def _assert_beats_cilk(table: Table) -> None:

@@ -648,6 +648,11 @@ REPRO_TARGETS: Dict[str, str] = {
 _REPRO_MAX_INSTANCES = {"smoke": 2, "reduced": 8, "paper": None}
 
 
+def main_datasets(scale: str) -> Tuple[str, ...]:
+    """Datasets of the main grids (Tables 1-3, 6, 7, 10, 13, 14; Figures 5, 6) at ``scale``."""
+    return ("tiny", "small") if scale == "smoke" else ("tiny", "small", "medium", "large")
+
+
 def reproduce(
     target: str,
     *,
@@ -677,7 +682,7 @@ def reproduce(
             for name in names
         }
 
-    main = ("tiny", "small") if scale == "smoke" else ("tiny", "small", "medium", "large")
+    main = main_datasets(scale)
     no_numa_grid = dict(P_values=(2, 4), g_values=(1, 5), latency=5, config=config, jobs=jobs)
     numa_grid = dict(P_values=(4, 8), delta_values=(2, 4), g=1, latency=5, config=config, jobs=jobs)
     ml_config = MultilevelConfig(

@@ -272,10 +272,9 @@ def canonical_scheduler_spec(
     take a wall-clock ``budget`` instead, onto ``budget``) — only when the
     scheduler's factory accepts them and the spec string does not already
     set them.  Arguments equal to the factory's default are dropped and an
-    ``init=`` spec is canonicalized in turn, so ``hc``, ``hc(init=bspg)``
-    and ``hc(init="bspg(idle_fraction=0.5)")`` share one spec (and cache
-    key).  Parsing and re-rendering the result is an identity, which keeps
-    work-item signatures (and therefore checkpoint resume) stable.
+    ``init=`` spec is canonicalized in turn, so ``hc`` and ``hc(init=bspg)``
+    share one spec (and cache key).  Parsing and re-rendering the result is
+    an identity, which keeps work-item signatures and checkpoint resume stable.
     """
     name, kwargs = parse_scheduler_spec(spec)
     info = _lookup(name, spec)
