@@ -20,12 +20,21 @@ supersteps with :func:`repro.model.classical.classical_to_bsp`.
 The EST inner loop is batched: a ready node's per-processor *arrival* vector
 (the EST contribution of its predecessors) is fixed the moment the node
 becomes ready — every predecessor is already placed — so it is computed once
-and stored in a dense ``(ready, P)`` pool, and each iteration's full EST
-table is a single ``np.maximum(arrival_pool, proc_ready)`` instead of
-``|ready| * P`` python-level predecessor scans.  Selection keys are total
-orders evaluated with exact float comparisons, so the vectorized scheduler
-is tie-for-tie identical to the straight-line reference loop kept in
-``tests/test_list_scheduler_equivalence.py``.
+into a dense ``(ready, P)`` pool, and a row's ESTs are one
+``np.maximum(arrival, proc_ready)``.
+
+ETF caches, per ready slot, the row's minimum EST over the memory-feasible
+processors (``inf`` when none has room) and the first processor reaching it.
+A placement on ``best_p`` changes only column ``best_p`` (its ``proc_ready``
+grows, its remaining memory shrinks), so only rows whose cached processor is
+``best_p`` can be stale, and only those and the newly ready rows are
+recomputed.  The smallest cached minimum, then the larger bottom level, then
+the smaller node id, on the cached processor, is the ``(EST, -bottom level,
+node, processor)`` order of a scan of the whole table.
+
+Selection keys are total orders evaluated with exact float comparisons, so
+the vectorized scheduler is tie-for-tie identical to the straight-line
+reference loop kept in ``tests/test_list_scheduler_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -116,6 +125,9 @@ def list_schedule(
     arrival = np.zeros((n, P), dtype=np.float64)
     slot_node = np.zeros(n, dtype=np.int64)
     nready = 0
+    # ETF only: each slot's cached EST row minimum and its first processor.
+    row_min = np.zeros(n, dtype=np.float64)
+    row_arg = np.zeros(n, dtype=np.int64)
 
     def push_ready(v: int) -> None:
         nonlocal nready
@@ -146,10 +158,24 @@ def list_schedule(
         if i != last:
             arrival[i] = arrival[last]
             slot_node[i] = slot_node[last]
+            row_min[i] = row_min[last]
+            row_arg[i] = row_arg[last]
         nready -= 1
+
+    def refresh_rows(rows: np.ndarray) -> None:
+        """Recompute the cached EST minimum and first argmin of ETF slots."""
+        table = np.maximum(arrival[rows], proc_ready)
+        if remaining is not None:
+            fits = memory[slot_node[rows]][:, None] <= (remaining + _EPS)[None, :]
+            table = np.where(fits, table, np.inf)
+        arg = np.argmin(table, axis=1)
+        row_arg[rows] = arg
+        row_min[rows] = table[np.arange(rows.size), arg]
 
     for v in np.nonzero(remaining_parents == 0)[0].tolist():
         push_ready(v)
+    if policy == "etf":
+        refresh_rows(np.arange(nready))
 
     for _ in range(n):
         if nready == 0:
@@ -174,28 +200,20 @@ def list_schedule(
                 best_p = int(np.argmin(np.where(fit_row, row, np.inf)))
             best_t = float(row[best_p])
         else:  # ETF: smallest (EST, -bottom level, node, processor) pair.
-            table = np.maximum(arrival[:nready], proc_ready)
+            mins = row_min[:nready]
             if remaining is not None:
-                fits = memory[nodes][:, None] <= (remaining + _EPS)[None, :]
-                lacking = ~fits.any(axis=1)
+                lacking = np.isinf(mins)
                 if lacking.any():
                     bad = int(nodes[lacking].min())
                     raise _no_memory_fit(bad, memory[bad], remaining)
-                table = np.where(fits, table, np.inf)
-            best_t = float(table.min())
-            rs, ps = np.nonzero(table == best_t)
-            if rs.size > 1:
-                bb = bottom[slot_node[rs]]
-                keep = bb == bb.max()
-                rs, ps = rs[keep], ps[keep]
-            if rs.size > 1:
-                nn = slot_node[rs]
-                keep = nn == nn.min()
-                rs, ps = rs[keep], ps[keep]
-            j = int(np.argmin(ps))
-            i = int(rs[j])
-            best_p = int(ps[j])
+            best_t = float(mins.min())
+            tie = np.nonzero(mins == best_t)[0]
+            if tie.size > 1:
+                b = bottom[nodes[tie]]
+                tie = tie[b == b.max()]
+            i = int(tie[np.argmin(nodes[tie])])
             v = int(slot_node[i])
+            best_p = int(row_arg[i])
         pop_ready(i)
         proc[v] = best_p
         start[v] = best_t
@@ -203,10 +221,16 @@ def list_schedule(
         proc_ready[best_p] = finish[v]
         if remaining is not None:
             remaining[best_p] -= memory[v]
+        settled = nready
         for child in dag.children(v):
             remaining_parents[child] -= 1
             if remaining_parents[child] == 0:
                 push_ready(child)
+        if policy == "etf":
+            # Only column best_p moved, so only rows whose first minimum
+            # sat there are stale; new slots have no cached minimum yet.
+            stale = np.nonzero(row_arg[:settled] == best_p)[0]
+            refresh_rows(np.concatenate((stale, np.arange(settled, nready))))
 
     return ClassicalSchedule(dag, machine, proc, start)
 

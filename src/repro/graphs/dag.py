@@ -301,34 +301,23 @@ class ComputationalDAG:
         self._topo_cache = order
         return list(order)
 
+    # Each level query is one sweep over the cached topological order:
+    # O(n + m) list operations, whatever the depth of the DAG.
+
     def node_levels(self) -> np.ndarray:
         """Level (longest edge-count distance from any source) for each node.
 
-        Computed wavefront-by-wavefront on the CSR adjacency: a node's level
-        is the index of the wave in which its last predecessor completes.
+        A node's level is one more than the deepest level among its parents
+        (0 for a source).
         """
-        levels = np.zeros(self.n, dtype=np.int64)
-        if self.n == 0 or self.num_edges == 0:
-            return levels
-        indptr, indices = self.succ_indptr, self.succ_indices
-        indeg = np.diff(self.pred_indptr).copy()
-        frontier = np.nonzero(indeg == 0)[0]
-        level = 0
-        while frontier.size:
-            levels[frontier] = level
-            starts = indptr[frontier]
-            counts = indptr[frontier + 1] - starts
-            total = int(counts.sum())
-            if total == 0:
-                break
-            # Gather the concatenated successor lists of the whole frontier.
-            offsets = np.repeat(starts - np.concatenate(([0], np.cumsum(counts)[:-1])), counts)
-            succ = indices[np.arange(total, dtype=np.int64) + offsets]
-            np.subtract.at(indeg, succ, 1)
-            ready = np.unique(succ)
-            frontier = ready[indeg[ready] == 0]
-            level += 1
-        return levels
+        levels = [0] * self.n
+        children = self._children
+        for v in self.topological_order():
+            below = levels[v] + 1
+            for w in children[v]:
+                if levels[w] < below:
+                    levels[w] = below
+        return np.array(levels, dtype=np.int64)
 
     def depth(self) -> int:
         """Number of levels on the longest path (1 for a single node, 0 if empty)."""
@@ -350,49 +339,33 @@ class ComputationalDAG:
         starting at the node (including the node itself).
 
         This is the classical list-scheduling priority used by BL-EST.
+        Swept in reverse topological order: when a node is reached, all of
+        its children are final, so its heaviest outgoing path is too.
         """
-        bl = np.array(self.work, dtype=np.int64).copy()
-        if self.num_edges == 0:
-            return bl
-        # Relax all edges one source-level at a time (deepest sources first):
-        # within a level no edge connects two sources, so a vectorized
-        # scatter-max per level is exact.
-        eu, ev = self.edge_sources, self.edge_targets
-        src_level = self.node_levels()[eu]
-        order = np.argsort(src_level, kind="stable")
-        eu, ev, src_level = eu[order], ev[order], src_level[order]
-        bounds = np.searchsorted(src_level, np.arange(int(src_level.max()) + 2))
-        best = np.full(self.n, -1, dtype=np.int64)
-        for k in range(len(bounds) - 2, -1, -1):
-            lo, hi = bounds[k], bounds[k + 1]
-            if lo == hi:
-                continue
-            us = eu[lo:hi]
-            np.maximum.at(best, us, bl[ev[lo:hi]])
-            touched = np.unique(us)
-            bl[touched] = self.work[touched] + best[touched]
-            best[touched] = -1
-        return bl
+        work = self.work.tolist()
+        heaviest_child = [0] * self.n
+        bl = [0] * self.n
+        parents = self._parents
+        for v in reversed(self.topological_order()):
+            b = work[v] + heaviest_child[v]
+            bl[v] = b
+            for u in parents[v]:
+                if heaviest_child[u] < b:
+                    heaviest_child[u] = b
+        return np.array(bl, dtype=np.int64)
 
     def top_level(self) -> np.ndarray:
         """Top level of each node: maximum total work on any path ending at
         the node, excluding the node itself."""
-        tl = np.zeros(self.n, dtype=np.int64)
-        if self.num_edges == 0:
-            return tl
-        eu, ev = self.edge_sources, self.edge_targets
-        dst_level = self.node_levels()[ev]
-        order = np.argsort(dst_level, kind="stable")
-        eu, ev, dst_level = eu[order], ev[order], dst_level[order]
-        offset = int(dst_level.min())
-        bounds = np.searchsorted(dst_level, np.arange(offset, int(dst_level.max()) + 2))
-        work = np.asarray(self.work, dtype=np.int64)
-        for k in range(len(bounds) - 1):
-            lo, hi = bounds[k], bounds[k + 1]
-            if lo == hi:
-                continue
-            np.maximum.at(tl, ev[lo:hi], tl[eu[lo:hi]] + work[eu[lo:hi]])
-        return tl
+        work = self.work.tolist()
+        tl = [0] * self.n
+        children = self._children
+        for v in self.topological_order():
+            t = tl[v] + work[v]
+            for w in children[v]:
+                if tl[w] < t:
+                    tl[w] = t
+        return np.array(tl, dtype=np.int64)
 
     def critical_path_work(self) -> int:
         """Total work along the heaviest directed path."""

@@ -120,16 +120,12 @@ class BspMachine:
             raise MachineValidationError("hierarchical machines require P to be a power of two")
         if delta <= 0:
             raise MachineValidationError("delta must be positive")
-        numa = np.zeros((P, P), dtype=np.float64)
-        for p1 in range(P):
-            for p2 in range(P):
-                if p1 == p2:
-                    continue
-                # Height of the lowest common ancestor in the binary tree
-                # = position of the highest differing bit + 1.
-                diff = p1 ^ p2
-                level = diff.bit_length()  # >= 1
-                numa[p1, p2] = float(delta) ** (level - 1)
+        # The LCA height is the bit length of p1 ^ p2 (frexp's exponent; 0
+        # on the diagonal), and indexes the python floats delta ** (height-1).
+        ids = np.arange(P)
+        height = np.frexp(ids[:, None] ^ ids[None, :])[1]
+        powers = [0.0] + [float(delta) ** k for k in range(int(P).bit_length() - 1)]
+        numa = np.array(powers, dtype=np.float64)[height]
         return cls(P=P, g=g, l=l, numa=numa)
 
     @classmethod

@@ -1,6 +1,8 @@
 """Unit tests for the ComputationalDAG data structure."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.graphs.dag import ComputationalDAG, DagValidationError
 
@@ -111,6 +113,89 @@ class TestOrderings:
     def test_critical_path_work(self, diamond_dag, chain_dag):
         assert diamond_dag.critical_path_work() == 7
         assert chain_dag.critical_path_work() == 5
+
+
+def reference_levels(n, edges, work):
+    """Levels, bottom levels and top levels by repeated relaxation of the
+    raw edge list until nothing changes (no topological order involved)."""
+    level = [0] * n
+    bottom = list(work)
+    top = [0] * n
+    changed = True
+    while changed:
+        changed = False
+        for u, v in edges:
+            if level[v] < level[u] + 1:
+                level[v] = level[u] + 1
+                changed = True
+            if bottom[u] < work[u] + bottom[v]:
+                bottom[u] = work[u] + bottom[v]
+                changed = True
+            if top[v] < top[u] + work[u]:
+                top[v] = top[u] + work[u]
+                changed = True
+    return level, bottom, top
+
+
+def assert_levels_match_reference(n, edges, work):
+    dag = ComputationalDAG(n, edges, work=work)
+    level, bottom, top = reference_levels(n, edges, work)
+    depth = max(level) + 1 if n else 0
+    assert dag.node_levels().tolist() == level
+    assert dag.bottom_level().tolist() == bottom
+    assert dag.top_level().tolist() == top
+    assert dag.depth() == depth
+    assert dag.level_sets() == [
+        [v for v in range(n) if level[v] == k] for k in range(depth)
+    ]
+    assert dag.critical_path_work() == max(bottom, default=0)
+    for arr in (dag.node_levels(), dag.bottom_level(), dag.top_level()):
+        assert arr.dtype == np.int64 and arr.shape == (n,)
+
+
+@st.composite
+def shuffled_dags(draw):
+    """Random DAGs under shuffled node labels, some around a long chain.
+
+    Node ``label[r]`` has rank ``r``; every edge goes from a lower to a
+    higher rank.  The optional chain runs through consecutive ranks, so its
+    depth is at least its length; nodes no edge touches stay isolated.
+    """
+    extra = draw(st.integers(min_value=0, max_value=20))
+    chain = draw(st.sampled_from([0, 0, 1, 2, 300, 330]))
+    n = extra + chain
+    if n == 0:
+        return 0, [], []
+    label = draw(st.permutations(range(n)))
+    first = draw(st.integers(min_value=0, max_value=extra))
+    ranks = [(first + i, first + i + 1) for i in range(chain - 1)]
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * extra + 5,
+    ))
+    ranks += [(min(a, b), max(a, b)) for a, b in pairs if a != b]
+    ranks = draw(st.permutations(ranks))
+    edges = [(label[a], label[b]) for a, b in ranks]
+    work = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return n, edges, work
+
+
+class TestLevelsMatchReference:
+    @settings(max_examples=60, deadline=None)
+    @given(case=shuffled_dags())
+    def test_random_shuffled_dags(self, case):
+        assert_levels_match_reference(*case)
+
+    @pytest.mark.parametrize(
+        "n, edges, work",
+        [
+            (0, [], []),
+            (4, [], [1, 0, 2, 3]),                       # isolated nodes only
+            (3, [(2, 1), (1, 0)], [0, 0, 0]),            # zero work, reversed labels
+            (305, [(v + 1, v) for v in range(300)], [1] * 305),  # 301-node chain + 4 isolated
+        ],
+    )
+    def test_fixed_cases(self, n, edges, work):
+        assert_levels_match_reference(n, edges, work)
 
 
 class TestReachability:

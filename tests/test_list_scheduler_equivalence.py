@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import List, Optional, Set, Tuple
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines.list_schedulers import _comm_delay_factor, _no_memory_fit, list_schedule
@@ -130,16 +131,17 @@ def random_dags(draw, max_nodes: int = 14):
 
 @st.composite
 def machines(draw, dag):
-    P = draw(st.sampled_from([1, 2, 4]))
+    P = draw(st.sampled_from([1, 2, 4, 8, 16, 64]))
     g = draw(st.sampled_from([0.0, 1.0, 3.0]))
     latency = draw(st.sampled_from([0.0, 5.0]))
     numa = None
-    if P >= 2 and draw(st.booleans()):
-        offsets = draw(
-            st.lists(st.sampled_from([0.0, 0.5, 2.0]), min_size=P * P, max_size=P * P)
-        )
-        numa = 1.0 + np.array(offsets, dtype=np.float64).reshape(P, P)
+    kind = draw(st.sampled_from(["uniform", "random", "hierarchical"])) if P >= 2 else "uniform"
+    if kind == "random":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        numa = 1.0 + rng.choice([0.0, 0.5, 2.0], size=(P, P))
         np.fill_diagonal(numa, 0.0)
+    elif kind == "hierarchical":
+        numa = BspMachine.hierarchical(P, draw(st.sampled_from([1.5, 2.0, 4.0]))).numa
     bound = None
     if draw(st.booleans()):
         total = float(np.sum(dag.memory))
@@ -192,3 +194,32 @@ class TestVectorizedMatchesReference:
         for policy in ("bl-est", "etf"):
             out = list_schedule(dag, machine, policy)
             assert out.proc.size == 0 and out.start.size == 0
+
+    @pytest.mark.parametrize("policy", ["bl-est", "etf"])
+    @pytest.mark.parametrize("memory", [None, "roomy", "tight", "infeasible"])
+    def test_wide_source_layer_at_p64(self, policy, memory):
+        """48 zero-arrival sources feeding one layer of children at P=64.
+
+        Every placement raises the one column that is every source row's
+        first minimum, so ETF's cached row minima all go stale at once.
+        """
+        sources = 48
+        edges = [(u, sources + c) for c in range(40) for u in (c, (7 * c + 3) % sources)]
+        n = sources + 40
+        work = [1 + (v * 5) % 7 for v in range(n)]
+        comm = [(v * 3) % 5 for v in range(n)]
+        memory_weights = [1 + v % 4 for v in range(n)]
+        dag = ComputationalDAG(n, edges, work, comm, memory=memory_weights, name="wide")
+        # 220 units of memory in all: 4.0 per processor leaves 36 to spare.
+        bound = {None: None, "roomy": 8.0, "tight": 4.0, "infeasible": 3.0}[memory]
+        machine = BspMachine.hierarchical(64, 2.0, g=2.0, l=5.0).with_memory_bound(bound)
+        for prefer_memory_balance in (False, True):
+            args = (dag, machine, policy, bound is not None, prefer_memory_balance)
+            ref, ref_err = _run(reference_list_schedule, *args)
+            vec, vec_err = _run(list_schedule, *args)
+            assert ref_err == vec_err
+            if not prefer_memory_balance:
+                assert (vec_err is None) == (memory != "infeasible")
+            if ref_err is None:
+                assert np.array_equal(ref.proc, vec.proc)
+                assert np.array_equal(ref.start, vec.start)

@@ -90,6 +90,17 @@ class TestHierarchicalMachine:
         with pytest.raises(MachineValidationError):
             BspMachine.hierarchical(P=4, delta=0)
 
+    @pytest.mark.parametrize("delta", [0.5, 1, 1.5, 2, 3, 7.3])
+    @pytest.mark.parametrize("P", [2 ** k for k in range(9)])
+    def test_matches_per_pair_definition(self, P, delta):
+        """Every coefficient is ``delta ** (levels_crossed - 1)`` bit for bit."""
+        expected = np.zeros((P, P))
+        for p1 in range(P):
+            for p2 in range(P):
+                if p1 != p2:
+                    expected[p1, p2] = delta ** ((p1 ^ p2).bit_length() - 1)
+        assert np.array_equal(BspMachine.hierarchical(P=P, delta=delta).numa, expected)
+
 
 class TestGroupMachine:
     def test_two_groups(self):
