@@ -1,11 +1,14 @@
 """Regeneration of every table and figure of the paper's evaluation.
 
-Each ``make_*`` function runs the relevant experiment configuration over the
-datasets it is given and returns one or more :class:`~repro.experiments.report.Table`
-objects whose rows mirror the corresponding table/figure of the paper.
-:func:`reproduce` is the one place that picks each artifact's datasets and
-grid; ``repro repro`` and ``benchmarks/bench_tables.py`` both run it (see
-the README section "Reproducing the paper's tables and figures").
+The paper's evaluation (Section 7 and the appendix tables) runs a few
+experiment grids, and every table and figure is a view of one of them.
+:func:`run_grid` runs a grid: every dataset on every machine, one
+:class:`~repro.experiments.runner.ExperimentResult` per cell.  A view is a
+pure function from a grid to the tables of one paper artifact.
+:func:`reproduce` is the one place that declares the grids and maps each
+target to a grid and a view; ``repro repro`` and
+``benchmarks/bench_tables.py`` both run it (see the README section
+"Reproducing the paper's tables and figures").
 
 Figures are bar charts of mean cost ratios in the paper; here they are
 rendered as tables with one column per bar ("Cilk", "HDagg", "Init", "HCcs",
@@ -15,607 +18,310 @@ paper's figures.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from collections import Counter, defaultdict
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..graphs.dag import ComputationalDAG
 from ..model.machine import BspMachine
 from ..pipeline.config import MultilevelConfig, PipelineConfig
 from .report import Table, format_percent
-from .runner import ExperimentResult, run_experiment, stage_ratio_summary
+from .runner import PIPELINE_ITEM, ExperimentResult, InstanceResult, ParallelRunner, WorkItem, run_experiment
 
-__all__ = [
-    "make_table1_no_numa",
-    "make_figure5_stage_ratios",
-    "make_table2_numa",
-    "make_figure6_numa_with_multilevel",
-    "make_table3_multilevel",
-    "make_tables_4_and_5_initializers",
-    "make_table6_no_numa_detail",
-    "make_table7_algorithm_ratios",
-    "make_table8_vs_etf",
-    "make_table9_latency",
-    "make_table10_numa_detail",
-    "make_table11_huge",
-    "make_figure7_huge_stages",
-    "make_table12_huge_numa",
-    "make_tables_13_and_14_multilevel_detail",
-    "REPRO_TARGETS",
-    "reproduce",
-]
+__all__ = ["Grid", "run_grid", "run_initializers", "REPRO_TARGETS", "main_datasets", "reproduce"]
 
 Datasets = Dict[str, List[ComputationalDAG]]
+#: Machines of a grid keyed by ``(P, x)``, where x is the machine's g, delta or latency.
+Machines = Dict[Tuple[int, float], BspMachine]
+#: One experiment per ``(dataset, P, x)`` cell.
+Grid = Dict[Tuple[str, int, float], ExperimentResult]
+#: Header and cell selector (``ds``, ``P`` and/or ``x``) of each row or column.
+Axis = List[Tuple[str, Dict[str, object]]]
+#: Renders one table cell from the grid cells it merges.
+Cell = Callable[[ExperimentResult], str]
 
 
-def _improvement_cell(experiment: ExperimentResult, label: str = "ILP") -> str:
+def run_grid(
+    datasets: Datasets,
+    machines: Machines,
+    config: PipelineConfig,
+    *,
+    list_baselines: bool = False,
+    multilevel_config: Optional[MultilevelConfig] = None,
+    jobs: Optional[int] = None,
+) -> Grid:
+    """Run every dataset on every machine.
+
+    Cells are inserted dataset by dataset, in ``machines`` order; a merged
+    cell lists its instances in this order, and its geometric means depend
+    on it bit for bit.
+    """
+    return {
+        (name, P, x): run_experiment(
+            dags, machine, pipeline_config=config, include_list_baselines=list_baselines,
+            multilevel_config=multilevel_config, jobs=jobs,
+        )
+        for name, dags in datasets.items()
+        for (P, x), machine in machines.items()
+    }
+
+
+def run_initializers(
+    training_set: Sequence[ComputationalDAG],
+    machines: Machines,
+    config: PipelineConfig,
+    *,
+    jobs: Optional[int] = None,
+) -> Grid:
+    """Run the pipeline alone on every training DAG and machine, one cell per DAG.
+
+    Tables 4 and 5 read only the initializer costs, so no baseline runs.
+    """
+    combos = [(dag, key, machine) for dag in training_set for key, machine in machines.items()]
+    items = [
+        WorkItem(
+            index=k, instance=k, dag=dag, machine=machine, scheduler=PIPELINE_ITEM, pipeline_config=config
+        )
+        for k, (dag, _, machine) in enumerate(combos)
+    ]
+    results = ParallelRunner(jobs).execute(items)
+    return {
+        (dag.name, *key): ExperimentResult(
+            machine.describe(),
+            [InstanceResult(
+                dag.name, dag.n, machine, result.costs, initializer_costs=result.initializer_costs
+            )],
+        )
+        for (dag, key, machine), result in zip(combos, results)
+    }
+
+
+#: The key components, as the views name them.
+_COMPONENTS = ("ds", "P", "x")
+
+
+def _values(grid: Grid, component: str) -> list:
+    """The values of a key component, in grid insertion order."""
+    i = _COMPONENTS.index(component)
+    return list(dict.fromkeys(key[i] for key in grid))
+
+
+def _axis(grid: Grid, component: str, header: str = "{}") -> Axis:
+    """One row or column per value of a key component."""
+    return [(header.format(v), {component: v}) for v in _values(grid, component)]
+
+
+def _cross(outer: Axis, inner: Axis, sep: str = ",") -> Axis:
+    return [(f"{h1}{sep}{h2}", {**s1, **s2}) for h1, s1 in outer for h2, s2 in inner]
+
+
+def _cells(grid: Grid, ds: object = None, P: object = None, x: object = None) -> ExperimentResult:
+    """The cells matching every given key component, merged in grid insertion order."""
+    merged = ExperimentResult(machine_description="merged")
+    for (d, p, v), experiment in grid.items():
+        if ds in (None, d) and P in (None, p) and x in (None, v):
+            merged.instances.extend(experiment.instances)
+    return merged
+
+
+def _reduction(experiment: ExperimentResult, label: str = "ILP") -> str:
     """The paper's two-number cell: reduction vs Cilk / reduction vs HDagg."""
     vs_cilk = experiment.improvement(label, "Cilk")
     vs_hdagg = experiment.improvement(label, "HDagg")
     return f"{format_percent(vs_cilk)} / {format_percent(vs_hdagg)}"
 
 
-def _merge(experiments: Iterable[ExperimentResult]) -> ExperimentResult:
-    merged = ExperimentResult(machine_description="merged")
-    for exp in experiments:
-        merged.instances.extend(exp.instances)
-    return merged
+def _pivot(title: str, corner: str, grid: Grid, rows: Axis, cols: Axis, cell: Cell = _reduction) -> Table:
+    """One cell per row and column, over the grid cells both select."""
+    table = Table(title, [corner] + [header for header, _ in cols])
+    for header, row in rows:
+        table.add_row(header, *(cell(_cells(grid, **row, **col)) for _, col in cols))
+    return table
+
+
+def _p_by_x(title: str, grid: Grid, x: str, cell: Cell = _reduction) -> Table:
+    return _pivot(title, f"P \\ {x}", grid, _axis(grid, "P", "P={}"), _axis(grid, "x", x + "={:g}"), cell)
+
+
+def _stage_ratios(title: str, corner: str, grid: Grid, rows: Axis, labels: Sequence[str]) -> Table:
+    """Geometric-mean cost ratio of each label to Cilk, one row per selection."""
+    table = Table(title, [corner] + list(labels))
+    for header, row in rows:
+        merged = _cells(grid, **row)
+        table.add_row(header, *(f"{merged.mean_ratio(label, 'Cilk'):.3f}" for label in labels))
+    return table
 
 
 # ----------------------------------------------------------------------
-# Table 1 + Figure 5 + Table 6: the no-NUMA comparison
+# The views: one per paper artifact
 # ----------------------------------------------------------------------
-def _run_no_numa_grid(
-    datasets: Datasets,
-    P_values: Sequence[int],
-    g_values: Sequence[float],
-    latency: float,
-    config: Optional[PipelineConfig],
-    include_list_baselines: bool = False,
-    jobs: Optional[int] = None,
-) -> Dict[Tuple[str, float, int], ExperimentResult]:
-    """Run the framework on every (dataset, g, P) combination without NUMA."""
-    results: Dict[Tuple[str, float, int], ExperimentResult] = {}
-    for ds_name, dags in datasets.items():
-        for g in g_values:
-            for P in P_values:
-                machine = BspMachine(P=P, g=g, l=latency)
-                results[(ds_name, g, P)] = run_experiment(
-                    dags,
-                    machine,
-                    pipeline_config=config,
-                    include_list_baselines=include_list_baselines,
-                    jobs=jobs,
-                )
-    return results
-
-
-def make_table1_no_numa(
-    datasets: Datasets,
-    *,
-    P_values: Sequence[int] = (4, 8, 16),
-    g_values: Sequence[float] = (1, 3, 5),
-    latency: float = 5,
-    config: Optional[PipelineConfig] = None,
-    jobs: Optional[int] = None,
-    grid: Optional[Dict[Tuple[str, float, int], ExperimentResult]] = None,
-) -> Tuple[Table, Table, Dict[Tuple[str, float, int], ExperimentResult]]:
+def _table1(grid: Grid) -> List[Table]:
     """Table 1: cost reduction vs Cilk / HDagg by (g, P) and by (g, dataset)."""
-    if grid is None:
-        grid = _run_no_numa_grid(datasets, P_values, g_values, latency, config, jobs=jobs)
-
-    by_p = Table("Table 1 (left): reduction vs Cilk / HDagg by g and P", ["P \\ g"] + [f"g={g:g}" for g in g_values])
-    for P in P_values:
-        row = [f"P={P}"]
-        for g in g_values:
-            merged = _merge(grid[(ds, g, P)] for ds in datasets)
-            row.append(_improvement_cell(merged))
-        by_p.add_row(*row)
-
-    by_ds = Table(
-        "Table 1 (right): reduction vs Cilk / HDagg by g and dataset",
-        ["dataset \\ g"] + [f"g={g:g}" for g in g_values],
-    )
-    for ds_name in datasets:
-        row = [ds_name]
-        for g in g_values:
-            merged = _merge(grid[(ds_name, g, P)] for P in P_values)
-            row.append(_improvement_cell(merged))
-        by_ds.add_row(*row)
-    return by_p, by_ds, grid
+    return [
+        _p_by_x("Table 1 (left): reduction vs Cilk / HDagg by g and P", grid, "g"),
+        _pivot(
+            "Table 1 (right): reduction vs Cilk / HDagg by g and dataset",
+            "dataset \\ g", grid, _axis(grid, "ds"), _axis(grid, "x", "g={:g}"),
+        ),
+    ]
 
 
-def make_figure5_stage_ratios(
-    datasets: Datasets,
-    *,
-    P_values: Sequence[int] = (4, 8, 16),
-    g_values: Sequence[float] = (1, 3, 5),
-    latency: float = 5,
-    config: Optional[PipelineConfig] = None,
-    jobs: Optional[int] = None,
-    grid: Optional[Dict[Tuple[str, float, int], ExperimentResult]] = None,
-) -> Tuple[Table, Dict[Tuple[str, float, int], ExperimentResult]]:
+def _figure5(grid: Grid) -> List[Table]:
     """Figure 5: mean cost ratios (normalized to Cilk) per g, without NUMA."""
-    if grid is None:
-        grid = _run_no_numa_grid(datasets, P_values, g_values, latency, config, jobs=jobs)
-    labels = ["Cilk", "HDagg", "Init", "HCcs", "ILP"]
-    table = Table("Figure 5: mean cost ratio normalized to Cilk, per g", ["g"] + labels)
-    for g in g_values:
-        merged = _merge(grid[(ds, g, P)] for ds in datasets for P in P_values)
-        summary = stage_ratio_summary(merged, "Cilk", labels)
-        table.add_row(f"g={g:g}", *[f"{summary[l]:.3f}" for l in labels])
-    return table, grid
+    return [_stage_ratios(
+        "Figure 5: mean cost ratio normalized to Cilk, per g", "g", grid,
+        _axis(grid, "x", "g={:g}"), ["Cilk", "HDagg", "Init", "HCcs", "ILP"],
+    )]
 
 
-def make_table6_no_numa_detail(
-    datasets: Datasets,
-    *,
-    P_values: Sequence[int] = (4, 8, 16),
-    g_values: Sequence[float] = (1, 3, 5),
-    latency: float = 5,
-    config: Optional[PipelineConfig] = None,
-    jobs: Optional[int] = None,
-    grid: Optional[Dict[Tuple[str, float, int], ExperimentResult]] = None,
-) -> Tuple[Table, Dict[Tuple[str, float, int], ExperimentResult]]:
+def _table6(grid: Grid) -> List[Table]:
     """Table 6: improvement for every (g, P, dataset) combination (no NUMA)."""
-    if grid is None:
-        grid = _run_no_numa_grid(datasets, P_values, g_values, latency, config, jobs=jobs)
-    headers = ["dataset"] + [f"g={g:g},P={P}" for g in g_values for P in P_values]
-    table = Table("Table 6: reduction vs Cilk / HDagg per (g, P, dataset)", headers)
-    for ds_name in datasets:
-        row = [ds_name]
-        for g in g_values:
-            for P in P_values:
-                row.append(_improvement_cell(grid[(ds_name, g, P)]))
-        table.add_row(*row)
-    return table, grid
+    return [_pivot(
+        "Table 6: reduction vs Cilk / HDagg per (g, P, dataset)", "dataset", grid,
+        _axis(grid, "ds"), _cross(_axis(grid, "x", "g={:g}"), _axis(grid, "P", "P={}")),
+    )]
 
 
-# ----------------------------------------------------------------------
-# NUMA experiments: Table 2, Figure 6, Table 3, Table 10, Tables 13/14
-# ----------------------------------------------------------------------
-def _run_numa_grid(
-    datasets: Datasets,
-    P_values: Sequence[int],
-    delta_values: Sequence[float],
-    g: float,
-    latency: float,
-    config: Optional[PipelineConfig],
-    multilevel_config: Optional[MultilevelConfig],
-    jobs: Optional[int] = None,
-) -> Dict[Tuple[str, int, float], ExperimentResult]:
-    results: Dict[Tuple[str, int, float], ExperimentResult] = {}
-    for ds_name, dags in datasets.items():
-        for P in P_values:
-            for delta in delta_values:
-                machine = BspMachine.hierarchical(P=P, delta=delta, g=g, l=latency)
-                results[(ds_name, P, delta)] = run_experiment(
-                    dags,
-                    machine,
-                    pipeline_config=config,
-                    include_list_baselines=False,
-                    multilevel_config=multilevel_config,
-                    jobs=jobs,
-                )
-    return results
-
-
-def make_table2_numa(
-    datasets: Datasets,
-    *,
-    P_values: Sequence[int] = (8, 16),
-    delta_values: Sequence[float] = (2, 3, 4),
-    g: float = 1,
-    latency: float = 5,
-    config: Optional[PipelineConfig] = None,
-    jobs: Optional[int] = None,
-    grid: Optional[Dict[Tuple[str, int, float], ExperimentResult]] = None,
-) -> Tuple[Table, Dict[Tuple[str, int, float], ExperimentResult]]:
+def _table2(grid: Grid) -> List[Table]:
     """Table 2: cost reduction of the base scheduler with NUMA, by (P, delta)."""
-    if grid is None:
-        grid = _run_numa_grid(datasets, P_values, delta_values, g, latency, config, None, jobs=jobs)
-    table = Table(
-        "Table 2: reduction vs Cilk / HDagg with NUMA, by P and delta",
-        ["P \\ delta"] + [f"delta={d:g}" for d in delta_values],
-    )
-    for P in P_values:
-        row = [f"P={P}"]
-        for delta in delta_values:
-            merged = _merge(grid[(ds, P, delta)] for ds in datasets)
-            row.append(_improvement_cell(merged))
-        table.add_row(*row)
-    return table, grid
+    return [_p_by_x("Table 2: reduction vs Cilk / HDagg with NUMA, by P and delta", grid, "delta")]
 
 
-def make_figure6_numa_with_multilevel(
-    datasets: Datasets,
-    *,
-    P_values: Sequence[int] = (8, 16),
-    delta_values: Sequence[float] = (2, 3, 4),
-    g: float = 1,
-    latency: float = 5,
-    config: Optional[PipelineConfig] = None,
-    multilevel_config: Optional[MultilevelConfig] = None,
-    jobs: Optional[int] = None,
-    grid: Optional[Dict[Tuple[str, int, float], ExperimentResult]] = None,
-) -> Tuple[Table, Dict[Tuple[str, int, float], ExperimentResult]]:
+def _figure6(grid: Grid) -> List[Table]:
     """Figure 6: mean cost ratios (vs Cilk) incl. the multilevel scheduler."""
-    if multilevel_config is None:
-        multilevel_config = MultilevelConfig(base_pipeline=config or PipelineConfig.fast())
-    if grid is None:
-        grid = _run_numa_grid(datasets, P_values, delta_values, g, latency, config, multilevel_config, jobs=jobs)
-    labels = ["Cilk", "HDagg", "Init", "HCcs", "ILP", "ML"]
-    table = Table(
-        "Figure 6: mean cost ratio normalized to Cilk, per (P, delta), with NUMA",
-        ["P, delta"] + labels,
-    )
-    for P in P_values:
-        for delta in delta_values:
-            merged = _merge(grid[(ds, P, delta)] for ds in datasets)
-            summary = stage_ratio_summary(merged, "Cilk", labels)
-            table.add_row(
-                f"P={P}, d={delta:g}",
-                *[f"{summary.get(l, float('nan')):.3f}" for l in labels],
-            )
-    return table, grid
+    return [_stage_ratios(
+        "Figure 6: mean cost ratio normalized to Cilk, per (P, delta), with NUMA", "P, delta", grid,
+        _cross(_axis(grid, "P", "P={}"), _axis(grid, "x", "d={:g}"), ", "),
+        ["Cilk", "HDagg", "Init", "HCcs", "ILP", "ML"],
+    )]
 
 
-def make_table3_multilevel(
-    datasets: Datasets,
-    *,
-    P_values: Sequence[int] = (8, 16),
-    delta_values: Sequence[float] = (2, 3, 4),
-    g: float = 1,
-    latency: float = 5,
-    config: Optional[PipelineConfig] = None,
-    multilevel_config: Optional[MultilevelConfig] = None,
-    jobs: Optional[int] = None,
-    grid: Optional[Dict[Tuple[str, int, float], ExperimentResult]] = None,
-) -> Tuple[Table, Dict[Tuple[str, int, float], ExperimentResult]]:
+def _table3(grid: Grid) -> List[Table]:
     """Table 3: cost reduction of the multilevel scheduler by (P, delta)."""
-    if multilevel_config is None:
-        multilevel_config = MultilevelConfig(base_pipeline=config or PipelineConfig.fast())
-    if grid is None:
-        grid = _run_numa_grid(datasets, P_values, delta_values, g, latency, config, multilevel_config, jobs=jobs)
-    table = Table(
-        "Table 3: reduction of the multilevel scheduler vs Cilk / HDagg",
-        ["P \\ delta"] + [f"delta={d:g}" for d in delta_values],
-    )
-    for P in P_values:
-        row = [f"P={P}"]
-        for delta in delta_values:
-            merged = _merge(grid[(ds, P, delta)] for ds in datasets)
-            row.append(_improvement_cell(merged, label="ML"))
-        table.add_row(*row)
-    return table, grid
+    return [_p_by_x(
+        "Table 3: reduction of the multilevel scheduler vs Cilk / HDagg", grid, "delta",
+        lambda experiment: _reduction(experiment, "ML"),
+    )]
 
 
-def make_table10_numa_detail(
-    datasets: Datasets,
-    *,
-    P_values: Sequence[int] = (8, 16),
-    delta_values: Sequence[float] = (2, 3, 4),
-    g: float = 1,
-    latency: float = 5,
-    config: Optional[PipelineConfig] = None,
-    jobs: Optional[int] = None,
-    grid: Optional[Dict[Tuple[str, int, float], ExperimentResult]] = None,
-) -> Tuple[Table, Dict[Tuple[str, int, float], ExperimentResult]]:
+def _table10(grid: Grid) -> List[Table]:
     """Table 10: NUMA improvement for every (P, delta, dataset) combination."""
-    if grid is None:
-        grid = _run_numa_grid(datasets, P_values, delta_values, g, latency, config, None, jobs=jobs)
-    headers = ["dataset"] + [f"P={P},d={d:g}" for P in P_values for d in delta_values]
-    table = Table("Table 10: reduction vs Cilk / HDagg per (P, delta, dataset)", headers)
-    for ds_name in datasets:
-        row = [ds_name]
-        for P in P_values:
-            for delta in delta_values:
-                row.append(_improvement_cell(grid[(ds_name, P, delta)]))
-        table.add_row(*row)
-    return table, grid
+    return [_pivot(
+        "Table 10: reduction vs Cilk / HDagg per (P, delta, dataset)", "dataset", grid,
+        _axis(grid, "ds"), _cross(_axis(grid, "P", "P={}"), _axis(grid, "x", "d={:g}")),
+    )]
 
 
-def make_tables_13_and_14_multilevel_detail(
-    datasets: Datasets,
-    *,
-    P_values: Sequence[int] = (8, 16),
-    delta_values: Sequence[float] = (2, 3, 4),
-    g: float = 1,
-    latency: float = 5,
-    config: Optional[PipelineConfig] = None,
-    multilevel_config: Optional[MultilevelConfig] = None,
-    jobs: Optional[int] = None,
-    grid: Optional[Dict[Tuple[str, int, float], ExperimentResult]] = None,
-) -> Tuple[Table, Table, Dict[Tuple[str, int, float], ExperimentResult]]:
-    """Tables 13 and 14: multilevel variants (C15 / C30 / C_opt) vs baselines
-    and vs the base scheduler."""
-    if multilevel_config is None:
-        multilevel_config = MultilevelConfig(base_pipeline=config or PipelineConfig.fast())
-    if grid is None:
-        grid = _run_numa_grid(datasets, P_values, delta_values, g, latency, config, multilevel_config, jobs=jobs)
-    ratios = sorted(multilevel_config.coarsening_ratios)
-    variant_labels = [f"ML@{r:g}" for r in ratios] + ["ML"]
-    variant_names = [f"C{int(round(r * 100))}" for r in ratios] + ["C_opt"]
+def _ml_variant_table(grid: Grid, title: str, cell: Callable[[ExperimentResult, str], str]) -> List[Table]:
+    """One row per multilevel variant (C15, C30, ..., C_opt), one column per (P, delta)."""
+    labels = next(iter(grid.values())).labels()
+    ratios = sorted(float(label[3:]) for label in labels if label.startswith("ML@"))
+    variants = [(f"C{int(round(r * 100))}", f"ML@{r:g}") for r in ratios] + [("C_opt", "ML")]
+    cols = _cross(_axis(grid, "P", "P={}"), _axis(grid, "x", "d={:g}"))
+    table = Table(title, ["variant"] + [header for header, _ in cols])
+    for name, label in variants:
+        table.add_row(name, *(cell(_cells(grid, **col), label) for _, col in cols))
+    return [table]
 
-    t13 = Table(
-        "Table 13: multilevel reduction vs Cilk / HDagg per coarsening variant",
-        ["variant"] + [f"P={P},d={d:g}" for P in P_values for d in delta_values],
+
+def _table13(grid: Grid) -> List[Table]:
+    """Table 13: multilevel variants (C15 / C30 / C_opt) vs the baselines."""
+    return _ml_variant_table(
+        grid, "Table 13: multilevel reduction vs Cilk / HDagg per coarsening variant", _reduction
     )
-    t14 = Table(
-        "Table 14: cost ratio of the multilevel scheduler to the base scheduler",
-        ["variant"] + [f"P={P},d={d:g}" for P in P_values for d in delta_values],
+
+
+def _table14(grid: Grid) -> List[Table]:
+    """Table 14: multilevel variants vs the base scheduler."""
+    return _ml_variant_table(
+        grid, "Table 14: cost ratio of the multilevel scheduler to the base scheduler",
+        lambda experiment, label: f"{experiment.mean_ratio(label, 'ILP'):.3f}",
     )
-    for label, name in zip(variant_labels, variant_names):
-        row13 = [name]
-        row14 = [name]
-        for P in P_values:
-            for delta in delta_values:
-                merged = _merge(grid[(ds, P, delta)] for ds in datasets)
-                row13.append(_improvement_cell(merged, label=label))
-                row14.append(f"{merged.mean_ratio(label, 'ILP'):.3f}")
-        t13.add_row(*row13)
-        t14.add_row(*row14)
-    return t13, t14, grid
 
 
-# ----------------------------------------------------------------------
-# Tables 4 / 5: initializer comparison on the training set
-# ----------------------------------------------------------------------
-def make_tables_4_and_5_initializers(
-    training_set: Sequence[ComputationalDAG],
-    *,
-    P_values: Sequence[int] = (4, 8, 16),
-    g_values: Sequence[float] = (1, 3, 5),
-    latency: float = 5,
-    config: Optional[PipelineConfig] = None,
-    jobs: Optional[int] = None,
-) -> Tuple[Table, Table]:
-    """Tables 4 and 5: how often each initialization heuristic wins.
+_SIZE_BUCKETS = ("small n", "medium n", "large n")
 
-    Table 4 covers the shallow spmv instances (split by P); Table 5 covers
-    the remaining kernels (split by P and by DAG size).
-    """
-    from .runner import PIPELINE_ITEM, ParallelRunner, WorkItem
 
-    if config is None:
-        config = PipelineConfig.fast()
-    wins_spmv: Dict[int, Counter] = {P: Counter() for P in P_values}
-    wins_other: Dict[Tuple[int, str], Counter] = {}
-    size_buckets = ["small n", "medium n", "large n"]
+def _initializer_wins(grid: Grid) -> Dict[Tuple[int, str], Counter]:
+    """Best-initializer counts per P and bucket: ``spmv``, or a size third of the other DAGs."""
+    sizes = sorted({name: cell.instances[0].num_nodes for (name, _, _), cell in grid.items()}.values())
+    lo, hi = sizes[len(sizes) // 3], sizes[(2 * len(sizes)) // 3]
+    wins: Dict[Tuple[int, str], Counter] = defaultdict(Counter)
+    for (name, P, _), cell in grid.items():
+        (instance,) = cell.instances
+        n = instance.num_nodes
+        bucket = "spmv" if "spmv" in name else _SIZE_BUCKETS[(n > lo) + (n > hi)]
+        wins[(P, bucket)][min(instance.initializer_costs, key=instance.initializer_costs.get)] += 1
+    return wins
 
-    def bucket_of(n: int) -> str:
-        sizes = sorted(d.n for d in training_set)
-        lo = sizes[len(sizes) // 3]
-        hi = sizes[(2 * len(sizes)) // 3]
-        if n <= lo:
-            return size_buckets[0]
-        if n <= hi:
-            return size_buckets[1]
-        return size_buckets[2]
 
-    combos = [
-        (dag, P, g)
-        for dag in training_set
-        for P in P_values
-        for g in g_values
-    ]
-    items = [
-        WorkItem(
-            index=k,
-            instance=k,
-            dag=dag,
-            machine=BspMachine(P=P, g=g, l=latency),
-            scheduler=PIPELINE_ITEM,
-            pipeline_config=config,
-        )
-        for k, (dag, P, g) in enumerate(combos)
-    ]
-    results = ParallelRunner(jobs).execute(items)
-    for (dag, P, g), result in zip(combos, results):
-        best = min(result.initializer_costs, key=result.initializer_costs.get)
-        if "spmv" in dag.name:
-            wins_spmv[P][best] += 1
-        else:
-            wins_other.setdefault((P, bucket_of(dag.n)), Counter())[best] += 1
+def _counts(counter: Counter) -> str:
+    return ", ".join(f"{name}: {count}" for name, count in counter.most_common()) or "-"
 
-    def counter_cell(counter: Counter) -> str:
-        if not counter:
-            return "-"
-        return ", ".join(f"{name}: {count}" for name, count in counter.most_common())
 
-    t4 = Table("Table 4: best initializer counts on spmv training instances", ["P", "wins"])
-    for P in P_values:
-        t4.add_row(f"P={P}", counter_cell(wins_spmv[P]))
+def _table4(grid: Grid) -> List[Table]:
+    """Table 4: how often each initialization heuristic wins on the shallow spmv DAGs."""
+    wins = _initializer_wins(grid)
+    table = Table("Table 4: best initializer counts on spmv training instances", ["P", "wins"])
+    for P in _values(grid, "P"):
+        table.add_row(f"P={P}", _counts(wins[(P, "spmv")]))
+    return [table]
 
-    t5 = Table(
+
+def _table5(grid: Grid) -> List[Table]:
+    """Table 5: how often each initialization heuristic wins on the other kernels, by size."""
+    wins = _initializer_wins(grid)
+    Ps = _values(grid, "P")
+    table = Table(
         "Table 5: best initializer counts on exp/cg/kNN training instances",
-        ["size bucket"] + [f"P={P}" for P in P_values],
+        ["size bucket"] + [f"P={P}" for P in Ps],
     )
-    for bucket in size_buckets:
-        row = [bucket]
-        for P in P_values:
-            row.append(counter_cell(wins_other.get((P, bucket), Counter())))
-        t5.add_row(*row)
-    return t4, t5
+    for bucket in _SIZE_BUCKETS:
+        table.add_row(bucket, *(_counts(wins[(P, bucket)]) for P in Ps))
+    return [table]
 
 
-# ----------------------------------------------------------------------
-# Table 7 / Table 8: algorithm-by-algorithm ratios and the ETF comparison
-# ----------------------------------------------------------------------
-def make_table7_algorithm_ratios(
-    datasets: Datasets,
-    *,
-    P_values: Sequence[int] = (4, 8, 16),
-    g: float = 5,
-    latency: float = 5,
-    config: Optional[PipelineConfig] = None,
-    jobs: Optional[int] = None,
-) -> Table:
+def _table7(grid: Grid) -> List[Table]:
     """Table 7: per-algorithm mean cost ratios (normalized to Cilk) for g=5."""
-    labels = ["BL-EST", "ETF", "Cilk", "HDagg", "Init", "HCcs", "ILPpart", "ILP"]
-    table = Table("Table 7: cost ratios normalized to Cilk (g=5)", ["dataset"] + labels)
-    for ds_name, dags in datasets.items():
-        merged = _merge(
-            run_experiment(
-                dags,
-                BspMachine(P=P, g=g, l=latency),
-                pipeline_config=config,
-                include_list_baselines=True,
-                jobs=jobs,
-            )
-            for P in P_values
-        )
-        summary = stage_ratio_summary(merged, "Cilk", labels)
-        table.add_row(ds_name, *[f"{summary[l]:.3f}" for l in labels])
+    table = _stage_ratios(
+        "Table 7: cost ratios normalized to Cilk (g=5)", "dataset", grid, _axis(grid, "ds"),
+        ["BL-EST", "ETF", "Cilk", "HDagg", "Init", "HCcs", "ILPpart", "ILP"],
+    )
     table.add_note("the paper's 'ILPcs' column corresponds to the final 'ILP' column here")
-    return table
+    return [table]
 
 
-def make_table8_vs_etf(
-    tiny_dags: Sequence[ComputationalDAG],
-    *,
-    P_values: Sequence[int] = (4, 8, 16),
-    g_values: Sequence[float] = (1, 3, 5),
-    latency: float = 5,
-    config: Optional[PipelineConfig] = None,
-    jobs: Optional[int] = None,
-) -> Table:
+def _table8(grid: Grid) -> List[Table]:
     """Table 8: cost reduction of the framework vs ETF on the tiny dataset."""
-    table = Table("Table 8: reduction vs ETF on the tiny dataset", ["P \\ g"] + [f"g={g:g}" for g in g_values])
-    for P in P_values:
-        row = [f"P={P}"]
-        for g in g_values:
-            machine = BspMachine(P=P, g=g, l=latency)
-            experiment = run_experiment(
-                tiny_dags, machine, pipeline_config=config, include_list_baselines=True,
-                jobs=jobs,
-            )
-            row.append(format_percent(experiment.improvement("ILP", "ETF")))
-        table.add_row(*row)
-    return table
+    return [_p_by_x(
+        "Table 8: reduction vs ETF on the tiny dataset", grid, "g",
+        lambda experiment: format_percent(experiment.improvement("ILP", "ETF")),
+    )]
 
 
-# ----------------------------------------------------------------------
-# Table 9: the role of latency
-# ----------------------------------------------------------------------
-def make_table9_latency(
-    dags: Sequence[ComputationalDAG],
-    *,
-    latencies: Sequence[float] = (2, 5, 10, 20),
-    P: int = 8,
-    g: float = 1,
-    config: Optional[PipelineConfig] = None,
-    jobs: Optional[int] = None,
-) -> Table:
+def _table9(grid: Grid) -> List[Table]:
     """Table 9: improvement for different latency values (medium dataset)."""
-    table = Table(
-        "Table 9: reduction vs Cilk / HDagg for different latency values (g=1, P=8)",
-        ["latency"] + ["reduction"],
-    )
-    for latency in latencies:
-        machine = BspMachine(P=P, g=g, l=latency)
-        experiment = run_experiment(
-            dags, machine, pipeline_config=config, include_list_baselines=False, jobs=jobs
-        )
-        table.add_row(f"l={latency:g}", _improvement_cell(experiment))
-    return table
+    return [_pivot(
+        "Table 9: reduction vs Cilk / HDagg for different latency values (g=1, P=8)", "latency", grid,
+        _axis(grid, "x", "l={:g}"), [("reduction", {})],
+    )]
 
 
-# ----------------------------------------------------------------------
-# The huge dataset: Table 11, Figure 7, Table 12
-# ----------------------------------------------------------------------
-def make_table11_huge(
-    huge_dags: Sequence[ComputationalDAG],
-    *,
-    P_values: Sequence[int] = (4, 8, 16),
-    g_values: Sequence[float] = (1, 3, 5),
-    latency: float = 5,
-    config: Optional[PipelineConfig] = None,
-    jobs: Optional[int] = None,
-) -> Tuple[Table, Dict[Tuple[float, int], ExperimentResult]]:
+def _table11(grid: Grid) -> List[Table]:
     """Table 11: Init+HC+HCcs on the huge dataset, without NUMA."""
-    if config is None:
-        config = PipelineConfig.heuristics_only()
-    grid: Dict[Tuple[float, int], ExperimentResult] = {}
-    table = Table(
-        "Table 11: reduction vs Cilk / HDagg on the huge dataset (heuristics only)",
-        ["P \\ g"] + [f"g={g:g}" for g in g_values],
-    )
-    for P in P_values:
-        row = [f"P={P}"]
-        for g in g_values:
-            machine = BspMachine(P=P, g=g, l=latency)
-            experiment = run_experiment(
-                huge_dags, machine, pipeline_config=config, include_list_baselines=False,
-                jobs=jobs,
-            )
-            grid[(g, P)] = experiment
-            row.append(_improvement_cell(experiment))
-        table.add_row(*row)
-    return table, grid
+    return [_p_by_x("Table 11: reduction vs Cilk / HDagg on the huge dataset (heuristics only)", grid, "g")]
 
 
-def make_figure7_huge_stages(
-    huge_dags: Sequence[ComputationalDAG],
-    *,
-    P_values: Sequence[int] = (4, 8, 16),
-    g_values: Sequence[float] = (1, 3, 5),
-    latency: float = 5,
-    config: Optional[PipelineConfig] = None,
-    jobs: Optional[int] = None,
-    grid: Optional[Dict[Tuple[float, int], ExperimentResult]] = None,
-) -> Table:
+def _figure7(grid: Grid) -> List[Table]:
     """Figure 7: stage cost ratios on the huge dataset, split by P."""
-    if config is None:
-        config = PipelineConfig.heuristics_only()
-    labels = ["Cilk", "HDagg", "Init", "HCcs"]
-    table = Table("Figure 7: mean cost ratio normalized to Cilk on the huge dataset", ["P"] + labels)
-    for P in P_values:
-        experiments = []
-        for g in g_values:
-            if grid is not None and (g, P) in grid:
-                experiments.append(grid[(g, P)])
-            else:
-                machine = BspMachine(P=P, g=g, l=latency)
-                experiments.append(
-                    run_experiment(
-                        huge_dags, machine, pipeline_config=config,
-                        include_list_baselines=False, jobs=jobs,
-                    )
-                )
-        merged = _merge(experiments)
-        summary = stage_ratio_summary(merged, "Cilk", labels)
-        table.add_row(f"P={P}", *[f"{summary[l]:.3f}" for l in labels])
-    return table
+    return [_stage_ratios(
+        "Figure 7: mean cost ratio normalized to Cilk on the huge dataset", "P", grid,
+        _axis(grid, "P", "P={}"), ["Cilk", "HDagg", "Init", "HCcs"],
+    )]
 
 
-def make_table12_huge_numa(
-    huge_dags: Sequence[ComputationalDAG],
-    *,
-    P_values: Sequence[int] = (8, 16),
-    delta_values: Sequence[float] = (2, 3, 4),
-    g: float = 1,
-    latency: float = 5,
-    config: Optional[PipelineConfig] = None,
-    jobs: Optional[int] = None,
-) -> Table:
+def _table12(grid: Grid) -> List[Table]:
     """Table 12: Init+HC+HCcs on the huge dataset with NUMA effects."""
-    if config is None:
-        config = PipelineConfig.heuristics_only()
-    table = Table(
-        "Table 12: reduction vs Cilk / HDagg on the huge dataset with NUMA",
-        ["P \\ delta"] + [f"delta={d:g}" for d in delta_values],
-    )
-    for P in P_values:
-        row = [f"P={P}"]
-        for delta in delta_values:
-            machine = BspMachine.hierarchical(P=P, delta=delta, g=g, l=latency)
-            experiment = run_experiment(
-                huge_dags, machine, pipeline_config=config, include_list_baselines=False,
-                jobs=jobs,
-            )
-            row.append(_improvement_cell(experiment))
-        table.add_row(*row)
-    return table
+    return [_p_by_x("Table 12: reduction vs Cilk / HDagg on the huge dataset with NUMA", grid, "delta")]
 
 
 # ----------------------------------------------------------------------
@@ -642,6 +348,27 @@ REPRO_TARGETS: Dict[str, str] = {
     "fig5": "stage cost ratios per g, without NUMA",
     "fig6": "stage cost ratios per (P, delta) incl. multilevel, with NUMA",
     "fig7": "stage cost ratios on the huge dataset",
+}
+
+#: Target name -> (grid, view); :func:`reproduce` declares the grids.
+_VIEWS: Dict[str, Tuple[str, Callable[[Grid], List[Table]]]] = {
+    "table1": ("no-numa", _table1),
+    "table2": ("numa", _table2),
+    "table3": ("numa-ml", _table3),
+    "table4": ("training", _table4),
+    "table5": ("training", _table5),
+    "table6": ("no-numa", _table6),
+    "table7": ("list-g5", _table7),
+    "table8": ("etf-tiny", _table8),
+    "table9": ("latency", _table9),
+    "table10": ("numa", _table10),
+    "table11": ("huge", _table11),
+    "table12": ("huge-numa", _table12),
+    "table13": ("numa-ml", _table13),
+    "table14": ("numa-ml", _table14),
+    "fig5": ("no-numa", _figure5),
+    "fig6": ("numa-ml", _figure6),
+    "fig7": ("huge", _figure7),
 }
 
 #: Instances per dataset used by :func:`reproduce` at each scale.
@@ -675,16 +402,6 @@ def reproduce(
         )
     max_instances = _REPRO_MAX_INSTANCES.get(scale, 2)
     config = PipelineConfig.fast() if scale == "smoke" else PipelineConfig()
-
-    def datasets(*names: str) -> Datasets:
-        return {
-            name: build_dataset(name, scale=scale, max_instances=max_instances, seed=seed)
-            for name in names
-        }
-
-    main = main_datasets(scale)
-    no_numa_grid = dict(P_values=(2, 4), g_values=(1, 5), latency=5, config=config, jobs=jobs)
-    numa_grid = dict(P_values=(4, 8), delta_values=(2, 4), g=1, latency=5, config=config, jobs=jobs)
     ml_config = MultilevelConfig(
         coarsening_ratios=(0.3, 0.15),
         min_coarse_nodes=8,
@@ -696,91 +413,32 @@ def reproduce(
         heuristics.hc_time_limit = 5.0
         heuristics.hccs_time_limit = 1.0
 
-    if target == "table1":
-        by_p, by_ds, _ = make_table1_no_numa(datasets(*main), **no_numa_grid)
-        return [by_p, by_ds]
-    if target == "fig5":
-        table, _ = make_figure5_stage_ratios(datasets(*main), **no_numa_grid)
-        return [table]
-    if target == "table6":
-        table, _ = make_table6_no_numa_detail(datasets(*main), **no_numa_grid)
-        return [table]
-    if target == "table2":
-        table, _ = make_table2_numa(datasets(*main), **numa_grid)
-        return [table]
-    if target == "fig6":
-        table, _ = make_figure6_numa_with_multilevel(
-            datasets(*main), multilevel_config=ml_config, **numa_grid
-        )
-        return [table]
-    if target == "table3":
-        table, _ = make_table3_multilevel(
-            datasets(*main), multilevel_config=ml_config, **numa_grid
-        )
-        return [table]
-    if target == "table10":
-        table, _ = make_table10_numa_detail(datasets(*main), **numa_grid)
-        return [table]
-    if target in ("table13", "table14"):
-        t13, t14, _ = make_tables_13_and_14_multilevel_detail(
-            datasets(*main), multilevel_config=ml_config, **numa_grid
-        )
-        return [t13] if target == "table13" else [t14]
-    if target in ("table4", "table5"):
-        t4, t5 = make_tables_4_and_5_initializers(
-            build_training_set(scale=scale, seed=seed),
-            P_values=(2, 4),
-            g_values=(1, 5),
-            latency=5,
-            config=config,
-            jobs=jobs,
-        )
-        return [t4] if target == "table4" else [t5]
-    if target == "table7":
-        return [
-            make_table7_algorithm_ratios(
-                datasets(*main), P_values=(2, 4), g=5, latency=5, config=config, jobs=jobs
-            )
-        ]
-    if target == "table8":
-        return [
-            make_table8_vs_etf(
-                datasets("tiny")["tiny"],
-                P_values=(2, 4),
-                g_values=(1, 5),
-                latency=5,
-                config=config,
-                jobs=jobs,
-            )
-        ]
-    if target == "table9":
-        return [
-            make_table9_latency(
-                datasets("medium")["medium"],
-                latencies=(2, 5, 10, 20),
-                P=4,
-                g=1,
-                config=config,
-                jobs=jobs,
-            )
-        ]
-    huge = datasets("huge")["huge"]
-    if target == "table11":
-        table, _ = make_table11_huge(
-            huge, P_values=(2, 4), g_values=(1, 5), latency=5, config=heuristics, jobs=jobs
-        )
-        return [table]
-    if target == "fig7":
-        return [
-            make_figure7_huge_stages(
-                huge, P_values=(2, 4), g_values=(1, 5), latency=5, config=heuristics, jobs=jobs
-            )
-        ]
-    if target == "table12":
-        return [
-            make_table12_huge_numa(
-                huge, P_values=(4, 8), delta_values=(2, 4), g=1, latency=5,
-                config=heuristics, jobs=jobs,
-            )
-        ]
-    raise AssertionError(f"unhandled target {target!r}")  # pragma: no cover
+    def datasets(*names: str) -> Datasets:
+        return {
+            name: build_dataset(name, scale=scale, max_instances=max_instances, seed=seed)
+            for name in names
+        }
+
+    def uniform(g_values: Sequence[float]) -> Machines:
+        return {(P, g): BspMachine(P=P, g=g, l=5) for P in (2, 4) for g in g_values}
+
+    numa = {(P, d): BspMachine.hierarchical(P=P, delta=d, g=1, l=5) for P in (4, 8) for d in (2, 4)}
+    latency = {(4, l): BspMachine(P=4, g=1, l=l) for l in (2, 5, 10, 20)}
+    main = main_datasets(scale)
+    grids: Dict[str, Callable[[], Grid]] = {
+        "no-numa": lambda: run_grid(datasets(*main), uniform((1, 5)), config, jobs=jobs),
+        "list-g5": lambda: run_grid(datasets(*main), uniform((5,)), config, list_baselines=True, jobs=jobs),
+        "etf-tiny": lambda: run_grid(
+            datasets("tiny"), uniform((1, 5)), config, list_baselines=True, jobs=jobs
+        ),
+        "latency": lambda: run_grid(datasets("medium"), latency, config, jobs=jobs),
+        "numa": lambda: run_grid(datasets(*main), numa, config, jobs=jobs),
+        "numa-ml": lambda: run_grid(datasets(*main), numa, config, multilevel_config=ml_config, jobs=jobs),
+        "huge": lambda: run_grid(datasets("huge"), uniform((1, 5)), heuristics, jobs=jobs),
+        "huge-numa": lambda: run_grid(datasets("huge"), numa, heuristics, jobs=jobs),
+        "training": lambda: run_initializers(
+            build_training_set(scale=scale, seed=seed), uniform((1, 5)), config, jobs=jobs
+        ),
+    }
+    grid, view = _VIEWS[target]
+    return view(grids[grid]())

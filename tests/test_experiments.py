@@ -124,7 +124,7 @@ class TestRunner:
 
 
 class TestPaperTables:
-    """Smoke tests of the table generators on minimal inputs."""
+    """The grid runner and the views of the paper artifacts on minimal inputs."""
 
     @pytest.fixture(scope="class")
     def tiny_datasets(self):
@@ -134,30 +134,28 @@ class TestPaperTables:
     def fast_config(self):
         return PipelineConfig.fast()
 
+    @staticmethod
+    def view(target, grid):
+        _, view = paper_tables._VIEWS[target]
+        return view(grid)
+
     def test_table1_and_figure5_share_grid(self, tiny_datasets, fast_config):
-        t_left, t_right, grid = paper_tables.make_table1_no_numa(
-            tiny_datasets, P_values=(2,), g_values=(1,), latency=3, config=fast_config
-        )
+        grid = paper_tables.run_grid(tiny_datasets, {(2, 1): BspMachine(P=2, g=1, l=3)}, fast_config)
+        t_left, t_right = self.view("table1", grid)
         assert len(t_left.rows) == 1 and len(t_right.rows) == 1
-        fig5, _ = paper_tables.make_figure5_stage_ratios(
-            tiny_datasets, P_values=(2,), g_values=(1,), latency=3, config=fast_config, grid=grid
-        )
+        (fig5,) = self.view("fig5", grid)
         assert fig5.rows[0][1] == "1.000"  # Cilk normalized to itself
 
     def test_table9_latency(self, tiny_datasets, fast_config):
-        table = paper_tables.make_table9_latency(
-            tiny_datasets["tiny"], latencies=(2, 5), P=2, g=1, config=fast_config
-        )
+        machines = {(2, l): BspMachine(P=2, g=1, l=l) for l in (2, 5)}
+        (table,) = self.view("table9", paper_tables.run_grid(tiny_datasets, machines, fast_config))
         assert len(table.rows) == 2
 
     def test_table11_and_figure7(self, tiny_datasets):
         config = PipelineConfig.heuristics_only()
-        table, grid = paper_tables.make_table11_huge(
-            tiny_datasets["tiny"], P_values=(2,), g_values=(1,), latency=3, config=config
-        )
-        fig = paper_tables.make_figure7_huge_stages(
-            tiny_datasets["tiny"], P_values=(2,), g_values=(1,), latency=3, config=config, grid=grid
-        )
+        grid = paper_tables.run_grid(tiny_datasets, {(2, 1): BspMachine(P=2, g=1, l=3)}, config)
+        (table,) = self.view("table11", grid)
+        (fig,) = self.view("fig7", grid)
         assert len(table.rows) == 1 and len(fig.rows) == 1
 
     def test_readme_table_lists_every_repro_target(self):
