@@ -300,9 +300,10 @@ def _table8(grid: Grid) -> List[Table]:
 
 def _table9(grid: Grid) -> List[Table]:
     """Table 9: improvement for different latency values (medium dataset)."""
+    machine = next(iter(grid.values())).instances[0].machine
     return [_pivot(
-        "Table 9: reduction vs Cilk / HDagg for different latency values (g=1, P=8)", "latency", grid,
-        _axis(grid, "x", "l={:g}"), [("reduction", {})],
+        f"Table 9: reduction vs Cilk / HDagg for different latency values (g={machine.g:g}, P={machine.P})",
+        "latency", grid, _axis(grid, "x", "l={:g}"), [("reduction", {})],
     )]
 
 

@@ -150,6 +150,7 @@ class TestPaperTables:
         machines = {(2, l): BspMachine(P=2, g=1, l=l) for l in (2, 5)}
         (table,) = self.view("table9", paper_tables.run_grid(tiny_datasets, machines, fast_config))
         assert len(table.rows) == 2
+        assert table.title.endswith("(g=1, P=2)")
 
     def test_table11_and_figure7(self, tiny_datasets):
         config = PipelineConfig.heuristics_only()

@@ -52,8 +52,8 @@ EXPECTED: Dict[Tuple[str, str], str] = {
     ("table7", "reduced"): "60248db10162327c",
     ("table8", "smoke"): "88153d1382709fe9",
     ("table8", "reduced"): "6393d4e332999801",
-    ("table9", "smoke"): "25a6ddd3b67595e5",
-    ("table9", "reduced"): "69314e8c76d310bb",
+    ("table9", "smoke"): "6cbf9db2ffa6062c",
+    ("table9", "reduced"): "7b399e4a25bfdaef",
     ("table10", "smoke"): "c4f6178d8ac74023",
     ("table10", "reduced"): "4e0104af691fe498",
     ("table11", "smoke"): "812beb02a16fcbfb",
