@@ -27,7 +27,7 @@ from ..pipeline.config import MultilevelConfig, PipelineConfig
 from .report import Table, format_percent
 from .runner import PIPELINE_ITEM, ExperimentResult, InstanceResult, ParallelRunner, WorkItem, run_experiment
 
-__all__ = ["Grid", "run_grid", "run_initializers", "REPRO_TARGETS", "main_datasets", "reproduce"]
+__all__ = ["Grid", "run_grid", "REPRO_TARGETS", "main_datasets", "reproduce"]
 
 Datasets = Dict[str, List[ComputationalDAG]]
 #: Machines of a grid keyed by ``(P, x)``, where x is the machine's g, delta or latency.
@@ -65,7 +65,7 @@ def run_grid(
     }
 
 
-def run_initializers(
+def _run_initializers(
     training_set: Sequence[ComputationalDAG],
     machines: Machines,
     config: PipelineConfig,
@@ -77,20 +77,14 @@ def run_initializers(
     Tables 4 and 5 read only the initializer costs, so no baseline runs.
     """
     combos = [(dag, key, machine) for dag in training_set for key, machine in machines.items()]
-    items = [
-        WorkItem(
-            index=k, instance=k, dag=dag, machine=machine, scheduler=PIPELINE_ITEM, pipeline_config=config
-        )
-        for k, (dag, _, machine) in enumerate(combos)
-    ]
-    results = ParallelRunner(jobs).execute(items)
+    results = ParallelRunner(jobs).execute([
+        WorkItem(index=k, instance=k, dag=dag, machine=m, scheduler=PIPELINE_ITEM, pipeline_config=config)
+        for k, (dag, _, m) in enumerate(combos)
+    ])
     return {
-        (dag.name, *key): ExperimentResult(
-            machine.describe(),
-            [InstanceResult(
-                dag.name, dag.n, machine, result.costs, initializer_costs=result.initializer_costs
-            )],
-        )
+        (dag.name, *key): ExperimentResult(machine.describe(), [
+            InstanceResult(dag.name, dag.n, machine, result.costs, initializer_costs=result.initializer_costs)
+        ])
         for (dag, key, machine), result in zip(combos, results)
     }
 
@@ -329,8 +323,9 @@ def _table12(grid: Grid) -> List[Table]:
 # Named reproduction targets (the ``python -m repro repro`` subcommand)
 # ----------------------------------------------------------------------
 #: Target name -> what it regenerates.  Every entry is runnable on a laptop
-#: at ``smoke`` scale; ``reduced`` / ``paper`` raise instance counts and
-#: grid sizes toward the paper's setup.
+#: at ``smoke`` scale; ``reduced`` / ``paper`` raise the instance counts and
+#: dataset sizes and switch to the default pipeline config.  The machine
+#: grids are the same at every scale.
 REPRO_TARGETS: Dict[str, str] = {
     "table1": "reduction vs Cilk / HDagg without NUMA, by (g, P) and (g, dataset)",
     "table2": "reduction vs Cilk / HDagg with NUMA, by (P, delta)",
@@ -390,9 +385,11 @@ def reproduce(
 ) -> List[Table]:
     """Regenerate one paper table / figure by name (see :data:`REPRO_TARGETS`).
 
-    The parameter grids are the reduced laptop-scale grids also used by the
-    benchmark harness; the *shape* of the results reproduces the paper,
-    absolute numbers do not (README: "Reproducing the paper's tables and figures").
+    ``scale`` (``smoke``, ``reduced`` or ``paper``) sets the instance
+    counts, the dataset sizes and the pipeline config; the machine grids
+    are the laptop-scale grids declared below at every scale.  The *shape*
+    of the results reproduces the paper, absolute numbers do not (README:
+    "Reproducing the paper's tables and figures").
     """
     from .datasets import build_dataset, build_training_set
 
@@ -401,7 +398,9 @@ def reproduce(
         raise ValueError(
             f"unknown repro target {target!r}; available: {', '.join(REPRO_TARGETS)}"
         )
-    max_instances = _REPRO_MAX_INSTANCES.get(scale, 2)
+    if scale not in _REPRO_MAX_INSTANCES:
+        raise ValueError(f"unknown scale {scale!r}; available: {', '.join(_REPRO_MAX_INSTANCES)}")
+    max_instances = _REPRO_MAX_INSTANCES[scale]
     config = PipelineConfig.fast() if scale == "smoke" else PipelineConfig()
     ml_config = MultilevelConfig(
         coarsening_ratios=(0.3, 0.15),
@@ -437,7 +436,7 @@ def reproduce(
         "numa-ml": lambda: run_grid(datasets(*main), numa, config, multilevel_config=ml_config, jobs=jobs),
         "huge": lambda: run_grid(datasets("huge"), uniform((1, 5)), heuristics, jobs=jobs),
         "huge-numa": lambda: run_grid(datasets("huge"), numa, heuristics, jobs=jobs),
-        "training": lambda: run_initializers(
+        "training": lambda: _run_initializers(
             build_training_set(scale=scale, seed=seed), uniform((1, 5)), config, jobs=jobs
         ),
     }

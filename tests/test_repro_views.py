@@ -160,6 +160,16 @@ def test_every_target_is_pinned():
     assert set(EXPECTED) == {(t, s) for t in paper_tables.REPRO_TARGETS for s in SCALES}
 
 
+def test_unknown_scale_is_rejected_before_any_work():
+    calls: List[object] = []
+    with mock.patch.object(runner, "_execute_work_item", calls.append), \
+            mock.patch.object(datasets, "build_dataset", lambda *args, **kwargs: calls.append(args)), \
+            mock.patch.object(datasets, "build_training_set", lambda **kwargs: calls.append(kwargs)):
+        with pytest.raises(ValueError, match="unknown scale 'Smoke'; available: smoke, reduced, paper"):
+            paper_tables.reproduce("table4", scale="Smoke")
+    assert calls == []
+
+
 if __name__ == "__main__":
     for t in paper_tables.REPRO_TARGETS:
         for s in SCALES:
