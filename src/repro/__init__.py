@@ -81,11 +81,11 @@ _exports, __getattr__, __dir__ = lazy_exports(globals(), {
         "run_pipeline",
         "PipelineResult",
         "FrameworkScheduler",
-        "AdaptiveScheduler",
     ),
     ".multilevel": ("MultilevelScheduler", "multilevel_schedule"),
     # portfolio scheduling & solution cache
     ".portfolio": (
+        "AdaptiveScheduler",
         "InstanceFeatures",
         "PortfolioScheduler",
         "SolutionCache",

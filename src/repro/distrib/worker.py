@@ -25,84 +25,30 @@ Failure taxonomy (mirrors the batch CLI):
 from __future__ import annotations
 
 import time
-from typing import Callable, List, Optional, Union
+from dataclasses import dataclass, field
+from typing import Callable, List, Optional
 
 from ..obs import trace as _trace
-from ..obs.metrics import Metrics
 from .queue import DEFAULT_MAX_ATTEMPTS, DirectoryQueue, Envelope, PathLike
 
 __all__ = ["WorkerStats", "run_worker", "solve_envelope"]
 
 
+@dataclass
 class WorkerStats:
-    """What one worker run did (the ``repro worker`` exit report).
+    """What one worker run did (the ``repro worker`` exit report)."""
 
-    Backed by a per-run :class:`~repro.obs.metrics.Metrics` registry (so a
-    long-running worker can be scraped alongside the daemon); the historical
-    integer attributes are read-only properties over the counters, mutated
-    through the ``note_*`` methods.
-    """
-
-    def __init__(self) -> None:
-        self.metrics = Metrics()
-        self._solved = self.metrics.counter(
-            "repro_worker_solved_total", help="Tasks answered with a valid result"
-        )
-        self._invalid = self.metrics.counter(
-            "repro_worker_invalid_total", help="Tasks answered with an invalid result"
-        )
-        self._retried = self.metrics.counter(
-            "repro_worker_retried_total", help="Tasks requeued after a machinery failure"
-        )
-        self._dead_lettered = self.metrics.counter(
-            "repro_worker_dead_lettered_total", help="Tasks moved to the dead-letter dir"
-        )
-        self._scans = self.metrics.counter(
-            "repro_worker_scans_total", help="Queue claim attempts"
-        )
-        self.errors: List[str] = []
-
-    @property
-    def solved(self) -> int:
-        return int(self._solved.value)
-
-    @property
-    def invalid(self) -> int:
-        return int(self._invalid.value)
-
-    @property
-    def retried(self) -> int:
-        return int(self._retried.value)
-
-    @property
-    def dead_lettered(self) -> int:
-        return int(self._dead_lettered.value)
-
-    @property
-    def scans(self) -> int:
-        return int(self._scans.value)
+    solved: int = 0
+    invalid: int = 0
+    retried: int = 0
+    dead_lettered: int = 0
+    #: Queue claim attempts.
+    scans: int = 0
+    errors: List[str] = field(default_factory=list)
 
     @property
     def answered(self) -> int:
         return self.solved + self.invalid
-
-    def note_solved(self) -> None:
-        self._solved.inc()
-
-    def note_invalid(self) -> None:
-        self._invalid.inc()
-
-    def note_retried(self, error: str) -> None:
-        self.errors.append(error)
-        self._retried.inc()
-
-    def note_dead_lettered(self, error: Optional[str] = None, count: int = 1) -> None:
-        if error is not None:
-            self.errors.append(error)
-        self._dead_lettered.inc(count)
-
-    def note_scan(self) -> None:
-        self._scans.inc()
 
 
 def solve_envelope(envelope: Envelope):
@@ -159,7 +105,7 @@ def run_worker(
         if max_tasks is not None and stats.answered + stats.dead_lettered >= max_tasks:
             break
         envelope = queue.claim_next()
-        stats.note_scan()
+        stats.scans += 1
         if envelope is None:
             now = time.monotonic()
             if idle_since is None:
@@ -176,22 +122,22 @@ def run_worker(
                     tspan.annotate(valid=bool(getattr(result, "valid", True)))
         except Exception as exc:  # machinery failure: retry, then dead-letter
             error = f"{type(exc).__name__}: {exc}"
+            stats.errors.append(error)
             if queue.retry_or_fail(envelope, error, max_attempts=max_attempts):
-                stats.note_retried(error)
+                stats.retried += 1
                 if log is not None:
                     log(f"task {envelope.id} failed (attempt {envelope.attempts + 1}), requeued: {error}")
             else:
-                stats.note_dead_lettered(error)
+                stats.dead_lettered += 1
                 if log is not None:
                     log(f"task {envelope.id} dead-lettered after {envelope.attempts + 1} attempts: {error}")
             continue
         queue.complete(envelope, result)  # type: ignore[arg-type]
         if getattr(result, "valid", True):
-            stats.note_solved()
+            stats.solved += 1
         else:
-            stats.note_invalid()
+            stats.invalid += 1
         if log is not None:
             log(f"task {envelope.id} answered ({'ok' if getattr(result, 'valid', True) else 'invalid'})")
-    if queue.raw_dead_letters:
-        stats.note_dead_lettered(count=queue.raw_dead_letters)
+    stats.dead_lettered += queue.raw_dead_letters
     return stats

@@ -110,6 +110,22 @@ def superstep_matrices(schedule: BspSchedule):
     return work[:S], send[:S], recv[:S]
 
 
+def _row_terms(work: np.ndarray, send: np.ndarray, recv: np.ndarray):
+    """Per-row ``(max work, h-relation, occurs)`` of ``(k, P)`` blocks.
+
+    A superstep occurs when its work, send or receive total exceeds
+    :data:`OCCUPANCY_TOL`; every cost in this module uses this rule.
+    """
+    w = work.max(axis=1)
+    h = np.maximum(send.max(axis=1), recv.max(axis=1))
+    occurs = (
+        (work.sum(axis=1) > OCCUPANCY_TOL)
+        | (send.sum(axis=1) > OCCUPANCY_TOL)
+        | (recv.sum(axis=1) > OCCUPANCY_TOL)
+    )
+    return w, h, occurs
+
+
 def superstep_row_costs(
     work: np.ndarray,
     send: np.ndarray,
@@ -126,13 +142,7 @@ def superstep_row_costs(
     """
     if work.size == 0:
         return np.zeros(work.shape[0], dtype=np.float64)
-    w = work.max(axis=1)
-    h = np.maximum(send.max(axis=1), recv.max(axis=1))
-    occurs = (
-        (work.sum(axis=1) > OCCUPANCY_TOL)
-        | (send.sum(axis=1) > OCCUPANCY_TOL)
-        | (recv.sum(axis=1) > OCCUPANCY_TOL)
-    )
+    w, h, occurs = _row_terms(work, send, recv)
     return w + float(g) * h + float(l) * occurs
 
 
@@ -147,13 +157,7 @@ def superstep_block_costs(blocks: np.ndarray, g: float, l: float) -> np.ndarray:
     — and running over axis 1, so that each is an elementwise pass along the
     long superstep axis rather than a reduction of many short processor
     rows.  That matters on the local-search probe path, where the blocks
-    hold few processors and per-call overhead dominates.  The formula is
-    the same ``C(s) = w(s) + g * h(s) + l * occurs(s)``.  It is spelled in
-    three places: here, in :func:`superstep_row_costs`, and in
-    :func:`evaluate`, which keeps the per-term breakdown and counts a
-    superstep as occurring at any activity ``> 0`` rather than above
-    :data:`OCCUPANCY_TOL` (its matrices are summed afresh, so they carry no
-    residue of incremental updates).
+    hold few processors and per-call overhead dominates.
     """
     if blocks.size == 0:
         return np.zeros(blocks.shape[2], dtype=np.float64)
@@ -166,8 +170,9 @@ def evaluate(schedule: BspSchedule) -> CostBreakdown:
     """Evaluate the total BSP+NUMA cost of a schedule.
 
     The schedule does not have to be valid; validity is checked separately by
-    :meth:`BspSchedule.validate`.  Latency is charged once per superstep that
-    has any computation or communication.
+    :meth:`BspSchedule.validate`.  Latency is charged once per superstep
+    whose activity exceeds :data:`OCCUPANCY_TOL`, as in the local-search
+    engine's :func:`superstep_block_costs`.
     """
     machine = schedule.machine
     work, send, recv = superstep_matrices(schedule)
@@ -176,9 +181,7 @@ def evaluate(schedule: BspSchedule) -> CostBreakdown:
         empty = np.zeros(0)
         return CostBreakdown(0.0, 0.0, 0.0, 0.0, 0, empty, empty, work, send, recv)
 
-    work_per_step = work.max(axis=1)
-    comm_per_step = np.maximum(send.max(axis=1), recv.max(axis=1))
-    occurs = (work.sum(axis=1) > 0) | (send.sum(axis=1) > 0) | (recv.sum(axis=1) > 0)
+    work_per_step, comm_per_step, occurs = _row_terms(work, send, recv)
     num_occurring = int(np.count_nonzero(occurs))
 
     work_cost = float(work_per_step.sum())

@@ -7,8 +7,10 @@ finding into an operational scheduler:
 * :mod:`repro.portfolio.features` — a deterministic instance featurizer and
   the canonical content signature of a (DAG, machine) pair,
 * :mod:`repro.portfolio.selector` — rule-based selection seeded from the
-  paper's table winners, budget-aware successive-halving racing, and the
-  :class:`PortfolioScheduler` tying both to the registry,
+  paper's table winners, budget-aware successive-halving racing, the
+  :class:`PortfolioScheduler` tying both to the registry, and the
+  :class:`AdaptiveScheduler` rule (``adaptive(ccr_threshold, margin)``)
+  racing the framework against the multilevel scheduler by effective CCR,
 * :mod:`repro.portfolio.cache` — a content-addressed on-disk solution cache
   (atomic writes, versioned format, in-process LRU) serving identical
   re-solves without re-running any scheduler.
@@ -34,6 +36,7 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     ),
     ".features": ("InstanceFeatures", "extract_features", "instance_signature"),
     ".selector": (
+        "AdaptiveScheduler",
         "DEFAULT_RACE_CANDIDATES",
         "PortfolioScheduler",
         "RaceOutcome",

@@ -1,4 +1,4 @@
-"""Portfolio selection: feature rules, budget-aware racing, and the scheduler.
+"""Portfolio selection: feature rules, budget-aware racing, and the schedulers.
 
 Two selection modes back the ``portfolio(...)`` registry entry:
 
@@ -26,6 +26,12 @@ solution cache: with a ``cache`` directory every solved instance is stored
 under ``(instance signature, portfolio spec, seed)`` and an identical
 re-solve returns the stored schedule without invoking any underlying
 scheduler.
+
+:class:`AdaptiveScheduler` backs the ``adaptive(ccr_threshold, margin)``
+entry, the automatic choice between the paper's framework and its multilevel
+scheduler that Appendix A.5 suggests: one effective-CCR rule picks the
+framework, the multilevel scheduler, or (near the threshold) both, and
+:func:`race` keeps the cheapest schedule.
 """
 
 from __future__ import annotations
@@ -34,14 +40,17 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from ..graphs.analysis import communication_to_computation_ratio
 from ..graphs.dag import ComputationalDAG
 from ..model.machine import BspMachine
 from ..model.schedule import BspSchedule
+from ..pipeline.config import MultilevelConfig
 from ..scheduler import Scheduler, SchedulingError
 from .cache import SolutionCache, default_cache_dir
 from .features import InstanceFeatures, extract_features, instance_signature
 
 __all__ = [
+    "AdaptiveScheduler",
     "DEFAULT_RACE_CANDIDATES",
     "SelectionRule",
     "RULES",
@@ -75,8 +84,8 @@ _TINY_MAX = 80
 _LARGE_MIN = 1500
 
 #: Effective-CCR threshold above which an instance counts as
-#: communication-dominated (the multilevel/HCcs regime, Appendix A.5) —
-#: the same default the CCR-based adaptive scheduler uses.
+#: communication-dominated (the multilevel/HCcs regime, Appendix A.5); the
+#: ``comm-heavy-numa`` rule and :class:`AdaptiveScheduler` both test it.
 _COMM_HEAVY_CCR = 8.0
 
 #: The decision list of ``mode=rules``, evaluated top to bottom; the first
@@ -539,3 +548,49 @@ class PortfolioScheduler(Scheduler):
             scheduler_description=f"portfolio[{self.last_chosen}]",
             deterministic=self.deterministic,
         )
+
+
+# ----------------------------------------------------------------------
+# CCR-based choice between the framework and the multilevel scheduler
+# ----------------------------------------------------------------------
+class AdaptiveScheduler(Scheduler):
+    """Race the framework, the multilevel scheduler, or both, by CCR.
+
+    Below ``ccr_threshold * (1 - margin)`` only the framework runs, above
+    ``ccr_threshold * (1 + margin)`` only the multilevel scheduler; in the
+    band between, both run in one unbudgeted :func:`race` and the cheaper
+    valid schedule wins (the framework on ties).  DAGs too small to coarsen
+    always go to the framework.  Both use their registry defaults.
+    """
+
+    name = "Adaptive"
+
+    def __init__(self, ccr_threshold: float = _COMM_HEAVY_CCR, margin: float = 0.5) -> None:
+        if ccr_threshold <= 0:
+            raise ValueError("ccr_threshold must be positive")
+        if margin < 0:
+            raise ValueError("margin must be non-negative")
+        self.ccr_threshold = float(ccr_threshold)
+        self.margin = float(margin)
+        #: The race of the most recent schedule() call.
+        self.last_race: Optional[RaceOutcome] = None
+
+    @property
+    def deterministic(self) -> bool:
+        from ..registry import make_scheduler
+
+        return all(make_scheduler(s).deterministic for s in ("framework", "multilevel"))
+
+    def candidates(self, ccr: float, num_nodes: int) -> Tuple[str, ...]:
+        """The registry specs raced for an instance of this CCR and size."""
+        too_small = num_nodes <= MultilevelConfig.min_coarse_nodes
+        if too_small or ccr < self.ccr_threshold * (1.0 - self.margin):
+            return ("framework",)
+        if ccr > self.ccr_threshold * (1.0 + self.margin):
+            return ("multilevel",)
+        return ("framework", "multilevel")
+
+    def schedule(self, dag: ComputationalDAG, machine: BspMachine) -> BspSchedule:
+        ccr = communication_to_computation_ratio(dag, machine)
+        self.last_race = race(dag, machine, self.candidates(ccr, dag.n))
+        return self.last_race.schedule

@@ -609,7 +609,7 @@ def _make_multilevel(preset: str = _DEFAULT_PRESET, **overrides: Any) -> Schedul
     description="CCR-based dispatch between the pipeline and the multilevel scheduler",
 )
 def _make_adaptive(ccr_threshold: float = 8.0, margin: float = 0.5) -> Scheduler:
-    from .pipeline.adaptive import AdaptiveScheduler
+    from .portfolio.selector import AdaptiveScheduler
 
     return AdaptiveScheduler(ccr_threshold=ccr_threshold, margin=margin)
 

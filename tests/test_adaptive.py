@@ -5,36 +5,29 @@ import pytest
 from repro.graphs.dag import ComputationalDAG
 from repro.graphs.fine import exp_dag
 from repro.model.machine import BspMachine
-from repro.pipeline.adaptive import AdaptiveScheduler
-from repro.pipeline.config import MultilevelConfig, PipelineConfig
+from repro.portfolio import selector
+from repro.portfolio.selector import AdaptiveScheduler
+from repro.registry import make_scheduler, scheduler_info
 
 
 @pytest.fixture
 def adaptive():
-    fast = PipelineConfig.fast()
-    return AdaptiveScheduler(
-        pipeline_config=fast,
-        multilevel_config=MultilevelConfig(
-            coarsening_ratios=(0.3,), min_coarse_nodes=6, hc_moves_per_refinement=10,
-            base_pipeline=fast,
-        ),
-        ccr_threshold=8.0,
-        margin=0.25,
-    )
+    return AdaptiveScheduler(ccr_threshold=8.0, margin=0.25)
 
 
 class TestDispatchLogic:
     def test_low_ccr_uses_base_only(self, adaptive):
-        use_base, use_ml = adaptive._strategies(1.0)
-        assert use_base and not use_ml
+        assert adaptive.candidates(1.0, 100) == ("framework",)
 
     def test_high_ccr_uses_multilevel_only(self, adaptive):
-        use_base, use_ml = adaptive._strategies(100.0)
-        assert use_ml and not use_base
+        assert adaptive.candidates(100.0, 100) == ("multilevel",)
 
     def test_band_runs_both(self, adaptive):
-        use_base, use_ml = adaptive._strategies(8.0)
-        assert use_base and use_ml
+        assert adaptive.candidates(8.0, 100) == ("framework", "multilevel")
+
+    def test_tiny_dag_uses_base_only(self, adaptive):
+        assert adaptive.candidates(100.0, 8) == ("framework",)
+        assert adaptive.candidates(100.0, 9) == ("multilevel",)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -42,28 +35,33 @@ class TestDispatchLogic:
         with pytest.raises(ValueError):
             AdaptiveScheduler(margin=-0.1)
 
+    def test_registry_passes_parameters(self):
+        built = make_scheduler("adaptive(ccr_threshold=4.0, margin=0.1)")
+        assert isinstance(built, AdaptiveScheduler)
+        assert (built.ccr_threshold, built.margin) == (4.0, 0.1)
+
+    def test_registry_default_threshold_is_the_comm_heavy_rule(self):
+        assert scheduler_info("adaptive").defaults["ccr_threshold"] == selector._COMM_HEAVY_CCR
+        assert AdaptiveScheduler().ccr_threshold == selector._COMM_HEAVY_CCR
+
 
 class TestEndToEnd:
     def test_cheap_communication_instance(self, adaptive, spmv_small):
         machine = BspMachine(P=4, g=1, l=2)
         schedule = adaptive.schedule_checked(spmv_small, machine)
-        decision = adaptive.last_decision
-        assert decision is not None
-        assert decision.used_base and not decision.used_multilevel
-        assert schedule.cost() == pytest.approx(decision.base_cost)
+        costs = adaptive.last_race.costs
+        assert set(costs) == {"framework"}
+        assert schedule.cost() == pytest.approx(costs["framework"])
 
     def test_communication_dominated_instance(self, adaptive):
         dag = exp_dag(6, k=2, q=0.3, seed=5)
         machine = BspMachine.hierarchical(P=16, delta=4, g=4, l=5)
         schedule = adaptive.schedule_checked(dag, machine)
-        decision = adaptive.last_decision
-        assert decision.used_multilevel
-        assert schedule.cost() == pytest.approx(min(
-            c for c in (decision.base_cost, decision.multilevel_cost) if c is not None
-        ))
+        costs = adaptive.last_race.costs
+        assert "multilevel" in costs
+        assert schedule.cost() == pytest.approx(min(costs.values()))
 
     def test_tiny_dag_falls_back_to_base(self, adaptive, machine4):
         dag = ComputationalDAG(3, [(0, 1), (1, 2)], comm=[50, 50, 50])
         adaptive.schedule_checked(dag, machine4)
-        assert adaptive.last_decision.used_base
-        assert not adaptive.last_decision.used_multilevel
+        assert set(adaptive.last_race.costs) == {"framework"}

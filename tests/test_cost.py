@@ -113,6 +113,19 @@ class TestExplicitCommSchedules:
         sched = BspSchedule(dag, machine, np.array([0, 1]), np.array([0, 1]), comm)
         assert evaluate(sched).comm_cost == 2.0
 
+    def test_residue_only_superstep_is_not_charged_latency(self):
+        """A phase whose only traffic is below OCCUPANCY_TOL does not occur,
+        for evaluate as for the local-search engine."""
+        from repro.localsearch.state import LocalSearchState
+
+        dag = ComputationalDAG(2, [(0, 1)], work=[1, 1], comm=[1, 0])
+        machine = BspMachine(P=2, g=1, l=5, numa=[[0, 1e-13], [1e-13, 0]])
+        comm = CommSchedule({(0, 0, 1, 1)})
+        sched = BspSchedule(dag, machine, np.array([0, 1]), np.array([0, 2]), comm)
+        assert sched.is_valid()
+        assert evaluate(sched).num_supersteps == 2
+        assert sched.cost() == LocalSearchState(sched).total_cost
+
 
 class TestMatrices:
     def test_superstep_matrices_shapes(self):

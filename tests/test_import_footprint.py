@@ -23,7 +23,6 @@ HEAVY = (
     "repro.ilp",
     "repro.multilevel",
     "repro.pipeline.framework",
-    "repro.pipeline.adaptive",
     "repro.portfolio.selector",
     "repro.experiments.tables",
     "repro.serve",
