@@ -1,11 +1,11 @@
 """Micro-benchmarks of the core components.
 
 Not a paper table: these benchmark the throughput of the building blocks
-(cost evaluation, validity checking, the baselines, the initialization
-heuristics, hill climbing and coarsening) plus the array-native kernel
-primitives (CSR construction, local-search state build, batched move
-probing) and the experiment engine, so that performance regressions in the
-library itself are visible.
+(cost evaluation, validity checking, schedule description, the baselines,
+the initialization heuristics, hill climbing and coarsening) plus the
+array-native kernel primitives (CSR construction, local-search state build,
+batched move probing) and the experiment engine, so that performance
+regressions in the library itself are visible.
 """
 
 import pytest
@@ -22,6 +22,7 @@ from repro.localsearch.comm_hill_climbing import comm_hill_climb
 from repro.localsearch.hill_climbing import hill_climb
 from repro.localsearch.state import LocalSearchState
 from repro.model.cost import evaluate
+from repro.model.inspect import describe_schedule
 from repro.model.machine import BspMachine
 from repro.multilevel.coarsen import coarsen_dag
 
@@ -48,6 +49,12 @@ def test_cost_evaluation(benchmark, hdagg_schedule):
 
 def test_validity_check(benchmark, hdagg_schedule):
     assert benchmark(hdagg_schedule.is_valid)
+
+
+def test_describe_schedule(benchmark, hdagg_schedule):
+    """Text description: one cost evaluation plus one superstep walk."""
+    text = benchmark.pedantic(lambda: describe_schedule(hdagg_schedule), rounds=5, iterations=1)
+    assert "superstep 0" in text
 
 
 def test_cilk_scheduler(benchmark, dag, machine):
@@ -98,7 +105,7 @@ def test_comm_hill_climbing(benchmark, hdagg_schedule):
 
 def test_coarsening(benchmark, dag):
     seq = benchmark.pedantic(
-        lambda: coarsen_dag(dag, max(8, dag.n // 3)), rounds=1, iterations=1
+        lambda: coarsen_dag(dag, max(8, dag.n // 3)), rounds=5, iterations=1
     )
     assert seq.num_contractions > 0
 
@@ -146,6 +153,6 @@ def test_parallel_runner_serial_engine(benchmark, machine):
     def run():
         return ParallelRunner(1).run_experiment(dags, machine, baselines_only=True)
 
-    experiment = benchmark.pedantic(run, rounds=1, iterations=1)
+    experiment = benchmark.pedantic(run, rounds=5, iterations=1)
     assert len(experiment.instances) == 2
     assert all("Cilk" in inst.costs for inst in experiment.instances)

@@ -46,7 +46,7 @@ from ..registry import (
     registry_name_for_label,
 )
 from ..scheduler import SchedulingError
-from ..spec import ProblemSpec, SolveRequest
+from ..spec import SolveRequest
 from .report import geometric_mean
 
 __all__ = [
@@ -398,7 +398,8 @@ def _execute_work_item(item: WorkItem) -> WorkItemResult:
 
         ml_schedule, per_ratio = multilevel_schedule(dag, machine, item.multilevel_config)
         ml_schedule.validate()
-        costs: Dict[str, float] = {"ML": float(ml_schedule.cost())}
+        breakdown = _schedule_breakdown(ml_schedule)
+        costs: Dict[str, float] = {"ML": breakdown["total_cost"]}
         for ratio, cost in per_ratio.items():
             costs[f"ML@{ratio:g}"] = float(cost)
         return WorkItemResult(
@@ -409,21 +410,22 @@ def _execute_work_item(item: WorkItem) -> WorkItemResult:
             scheduler=item.scheduler,
             dag_name=dag.name,
             item_signature=item.signature(),
-            breakdown=_schedule_breakdown(ml_schedule),
+            breakdown=breakdown,
             seconds=time.perf_counter() - start,
         )
     scheduler = make_scheduler(item.scheduler)
     schedule = scheduler.schedule_checked(dag, machine)
     label = item.label if item.label is not None else scheduler.name
+    breakdown = _schedule_breakdown(schedule)
     return WorkItemResult(
         index=item.index,
         instance=item.instance,
-        costs={label: float(schedule.cost())},
+        costs={label: breakdown["total_cost"]},
         schedule=schedule if item.keep_schedule else None,
         scheduler=item.scheduler,
         dag_name=dag.name,
         item_signature=item.signature(),
-        breakdown=_schedule_breakdown(schedule),
+        breakdown=breakdown,
         seconds=time.perf_counter() - start,
     )
 
@@ -479,25 +481,23 @@ def _instance_work_items(
 ) -> List[WorkItem]:
     """The work items of one instance, in table label order.
 
-    Baseline items are constructed through the declarative request format
-    (:class:`~repro.spec.SolveRequest` + :meth:`WorkItem.from_request`), the
-    same path the :mod:`repro.api` facade uses; the prebuilt DAG and machine
-    are passed through so nothing is re-materialized.
+    Baseline items carry the canonical spec of their registry name, as
+    :meth:`WorkItem.from_request` would give them; the prebuilt DAG and
+    machine are used as they are, so nothing is copied or re-materialized.
     """
     labels = ["Cilk", "HDagg"]
     if include_list_baselines:
         labels += ["BL-EST", "ETF"]
     if include_trivial:
         labels.append("Trivial")
-    spec = ProblemSpec.from_instance(dag, machine)
     items = [
-        WorkItem.from_request(
-            SolveRequest(spec=spec, scheduler=registry_name_for_label(label)),
+        WorkItem(
             index=next_index + k,
             instance=instance,
-            label=label,
             dag=dag,
             machine=machine,
+            scheduler=canonical_scheduler_spec(registry_name_for_label(label)),
+            label=label,
         )
         for k, label in enumerate(labels)
     ]
@@ -743,21 +743,21 @@ def schedule_many(
     """Run several registry schedulers on one instance, keeping the schedules.
 
     This is the engine entry point used by the command line: each scheduler
-    spec is one work item (constructed through :class:`~repro.spec.SolveRequest`,
-    so parameterized specs like ``"hc(max_moves=50)"`` work), executed in
-    parallel when ``jobs > 1``, and the checked schedules come back in the
-    order the names were given.
+    spec is one work item under its canonical spec (as
+    :meth:`WorkItem.from_request` would build it, so parameterized specs
+    like ``"hc(max_moves=50)"`` work), executed in parallel when
+    ``jobs > 1``, and the checked schedules come back in the order the
+    names were given.
     """
-    spec = ProblemSpec.from_instance(dag, machine)
     items = [
-        WorkItem.from_request(
-            SolveRequest(spec=spec, scheduler=name),
+        WorkItem(
             index=k,
             instance=0,
-            label=name,
-            keep_schedule=True,
             dag=dag,
             machine=machine,
+            scheduler=canonical_scheduler_spec(name),
+            label=name,
+            keep_schedule=True,
         )
         for k, name in enumerate(scheduler_names)
     ]

@@ -66,20 +66,22 @@ def schedule_to_dot(
         '  node [shape=box, style=filled, fontsize=10];',
     ]
     num_steps = schedule.num_supersteps
+    order, bounds = (a.tolist() for a in schedule.superstep_blocks(num_steps))
+    proc = schedule.proc.tolist()
     for s in range(num_steps):
-        nodes = schedule.nodes_in_superstep(s)
+        nodes = order[bounds[s]:bounds[s + 1]]
         if not nodes:
             continue
         lines.append(f"  subgraph cluster_step_{s} {{")
         lines.append(f'    label="superstep {s}"; color=gray; fontsize=10;')
         for v in nodes:
-            p = int(schedule.proc[v])
+            p = proc[v]
             color = _PALETTE[p % len(_PALETTE)]
             label = _node_label(dag, v, show_weights) + f"\\np{p}"
             lines.append(f'    {v} [label="{label}", fillcolor="{color}"];')
         lines.append("  }")
     for (u, v) in dag.edges:
-        style = "dashed" if schedule.proc[u] != schedule.proc[v] else "solid"
+        style = "dashed" if proc[u] != proc[v] else "solid"
         lines.append(f'  {u} -> {v} [style={style}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

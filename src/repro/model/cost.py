@@ -99,14 +99,17 @@ def superstep_matrices(schedule: BspSchedule):
 
     np.add.at(work, (schedule.step, schedule.proc), dag.work.astype(np.float64))
 
-    comm = schedule.effective_comm_schedule()
-    if len(comm) > 0:
-        entries = np.array(sorted(comm.entries), dtype=np.int64).reshape(-1, 4)
+    if schedule.comm is None:
+        # Already in sorted-entry order and free of p1 == p2 entries, so the
+        # scatter below accumulates exactly as for the materialized set.
+        ev, p1, p2, es = schedule.lazy_transfers()
+    else:
+        entries = np.array(sorted(schedule.comm.entries), dtype=np.int64).reshape(-1, 4)
         keep = entries[:, 1] != entries[:, 2]
         ev, p1, p2, es = (entries[keep, k] for k in range(4))
-        volume = dag.comm[ev].astype(np.float64) * machine.numa[p1, p2]
-        np.add.at(send, (es, p1), volume)
-        np.add.at(recv, (es, p2), volume)
+    volume = dag.comm[ev].astype(np.float64) * machine.numa[p1, p2]
+    np.add.at(send, (es, p1), volume)
+    np.add.at(recv, (es, p2), volume)
     return work[:S], send[:S], recv[:S]
 
 

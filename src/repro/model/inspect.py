@@ -9,10 +9,11 @@ scheduler.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List
 
-from .cost import evaluate
+from .cost import CostBreakdown, evaluate
 from .schedule import BspSchedule
 
 __all__ = ["SuperstepSummary", "summarize_supersteps", "describe_schedule", "schedule_to_text_gantt"]
@@ -38,22 +39,27 @@ class SuperstepSummary:
 
 def summarize_supersteps(schedule: BspSchedule) -> List[SuperstepSummary]:
     """Per-superstep summaries (one entry per superstep index in use)."""
-    breakdown = evaluate(schedule)
-    S = breakdown.work_matrix.shape[0]
-    comm = schedule.effective_comm_schedule()
-    transfers_per_step: Dict[int, int] = {}
-    for (_, p1, p2, s) in comm:
-        if p1 != p2:
-            transfers_per_step[s] = transfers_per_step.get(s, 0) + 1
+    return _summaries(schedule, evaluate(schedule))
 
+
+def _summaries(schedule: BspSchedule, breakdown: CostBreakdown) -> List[SuperstepSummary]:
+    S = breakdown.work_matrix.shape[0]
+    if schedule.comm is None:
+        transfers_per_step = Counter(schedule.lazy_transfers()[3].tolist())
+    else:
+        transfers_per_step = Counter(s for (_, p1, p2, s) in schedule.comm if p1 != p2)
+
+    order, bounds = (a.tolist() for a in schedule.superstep_blocks(S))
+    proc = schedule.proc.tolist()
+    node_work = schedule.dag.work.tolist()
     summaries: List[SuperstepSummary] = []
     for s in range(S):
         nodes: Dict[int, int] = {}
         work: Dict[int, float] = {}
-        for v in schedule.nodes_in_superstep(s):
-            p = int(schedule.proc[v])
+        for v in order[bounds[s]:bounds[s + 1]]:
+            p = proc[v]
             nodes[p] = nodes.get(p, 0) + 1
-            work[p] = work.get(p, 0.0) + float(schedule.dag.work[v])
+            work[p] = work.get(p, 0.0) + float(node_work[v])
         summaries.append(
             SuperstepSummary(
                 index=s,
@@ -80,7 +86,7 @@ def describe_schedule(schedule: BspSchedule, name: str = "") -> str:
         f" + latency {breakdown.latency_cost:.1f}"
         f"  ({breakdown.num_supersteps} supersteps)"
     )
-    for summary in summarize_supersteps(schedule):
+    for summary in _summaries(schedule, breakdown):
         if not summary.nodes_per_processor and summary.comm_cost == 0:
             continue
         proc_bits = ", ".join(

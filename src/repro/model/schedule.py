@@ -40,16 +40,20 @@ def legalize_superstep_assignment(
     Several schedulers (HDagg wavefront repair, multilevel projection) use it
     as a final legalization step.
     """
-    out = np.asarray(step, dtype=np.int64).copy()
-    proc = np.asarray(proc, dtype=np.int64)
+    out = np.asarray(step, dtype=np.int64).tolist()
+    where = np.asarray(proc, dtype=np.int64).tolist()
+    parents = dag.parents
+    # One sweep over plain lists: a node's parents are final when it is
+    # reached, so each node is raised at most once.
     for v in dag.topological_order():
-        parents = dag.predecessors_array(v)
-        if parents.size == 0:
-            continue
-        required = int(np.max(out[parents] + (proc[parents] != proc[v])))
-        if out[v] < required:
-            out[v] = required
-    return out
+        pv = where[v]
+        required = out[v]
+        for u in parents(v):
+            r = out[u] + (where[u] != pv)
+            if r > required:
+                required = r
+        out[v] = required
+    return np.array(out, dtype=np.int64)
 
 
 class ScheduleValidationError(ValueError):
@@ -127,11 +131,28 @@ class BspSchedule:
 
     def nodes_in_superstep(self, s: int) -> List[int]:
         """Nodes whose computation is assigned to superstep ``s``."""
-        return [v for v in range(self.dag.n) if self.step[v] == s]
+        return np.flatnonzero(self.step == s).tolist()
 
     def nodes_on_processor(self, p: int) -> List[int]:
         """Nodes assigned to processor ``p``."""
-        return [v for v in range(self.dag.n) if self.proc[v] == p]
+        return np.flatnonzero(self.proc == p).tolist()
+
+    def superstep_blocks(
+        self, num_steps: int, tiebreak: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Nodes grouped by superstep, from one stable sort.
+
+        Returns ``(order, bounds)``: ``order[bounds[s]:bounds[s + 1]]`` are
+        the nodes of superstep ``s`` for ``s < num_steps``, in increasing
+        node id (as :meth:`nodes_in_superstep` lists them) or, when given,
+        in increasing ``tiebreak`` value.
+        """
+        if tiebreak is None:
+            order = np.argsort(self.step, kind="stable")
+        else:
+            order = np.lexsort((tiebreak, self.step))
+        bounds = np.searchsorted(self.step[order], np.arange(num_steps + 1))
+        return order, bounds
 
     def assignment(self, v: int) -> Tuple[int, int]:
         """``(processor, superstep)`` of node ``v``."""
@@ -179,6 +200,26 @@ class BspSchedule:
                 needed[key] = sv
         return needed
 
+    def lazy_transfers(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The lazy Gamma as arrays ``(u, p_from, p_to, step)``.
+
+        One entry per :meth:`required_transfers` key ``(u, p_to)``, sent
+        from ``p_from = proc[u]`` in superstep ``deadline - 1``.  Entries are
+        in ascending ``(u, p_to)`` order, which is the order of
+        ``sorted(self.lazy_comm_schedule().entries)``: the cross-processor
+        edges sorted by ``(u, p_to, tau(v))``, keeping each pair's first.
+        """
+        eu, ev = self.dag.edge_sources, self.dag.edge_targets
+        p_to = self.proc[ev]
+        cross = self.proc[eu] != p_to
+        u, p_to, deadline = eu[cross], p_to[cross], self.step[ev[cross]]
+        order = np.lexsort((deadline, p_to, u))
+        u, p_to, deadline = u[order], p_to[order], deadline[order]
+        first = np.ones(u.size, dtype=bool)
+        first[1:] = (u[1:] != u[:-1]) | (p_to[1:] != p_to[:-1])
+        u = u[first]
+        return u, self.proc[u], p_to[first], deadline[first] - 1
+
     def lazy_comm_schedule(self) -> CommSchedule:
         """The lazy Gamma: each required value sent directly from its
         producer in the last possible communication phase (deadline - 1)."""
@@ -225,6 +266,21 @@ class BspSchedule:
         3. when the machine carries per-processor memory bounds (the
            memory-constrained model variant), the total memory weight of the
            nodes co-resident on each processor must not exceed its bound.
+
+        For a schedule without an explicit Gamma the precedence and
+        communication checks reduce to one vectorized test: every edge
+        ``(u, v)`` needs ``tau(u) <= tau(v)`` on one processor and
+        ``tau(u) < tau(v)`` across processors.  Proof: the lazy Gamma holds
+        exactly one entry ``(u, pi(u), q, d - 1)`` per value ``u`` needed on
+        another processor ``q``, where ``d`` is the smallest ``tau(v)`` over
+        the cross edges ``(u, v)`` with ``pi(v) = q``.  That entry is the
+        only way ``u`` reaches ``q``, so its arrival ``d - 1 < tau(v)``
+        satisfies condition 1 for each of those edges; condition 2 (and the
+        non-negative step check) fails for it iff ``tau(u) > d - 1``, i.e.
+        iff some cross edge has ``tau(u) >= tau(v)``.  Same-processor edges
+        are checked directly.  Only when the test fails (or Gamma is
+        explicit) does the entry-by-entry loop below run, to report each
+        violation.
         """
         errors: List[str] = []
         P = self.machine.P
@@ -246,6 +302,12 @@ class BspSchedule:
                     f"memory bound exceeded on processor {int(p)}: "
                     f"{usage[p]:g} > {bounds[p]:g}"
                 )
+
+        if self.comm is None:
+            eu, ev = self.dag.edge_sources, self.dag.edge_targets
+            late = self.step[eu] + (self.proc[eu] != self.proc[ev]) > self.step[ev]
+            if not late.any():
+                return errors
 
         comm = self.effective_comm_schedule()
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
+import numpy as np
+
 from .cost import evaluate
 from .schedule import BspSchedule
 
@@ -76,28 +78,32 @@ def simulate_timeline(schedule: BspSchedule) -> ScheduleTimeline:
     machine = schedule.machine
     S = breakdown.work_matrix.shape[0]
 
-    topo_position = {v: i for i, v in enumerate(dag.topological_order())}
+    topo_position = np.empty(dag.n, dtype=np.int64)
+    topo_position[dag.topological_order()] = np.arange(dag.n)
+    order, bounds = (a.tolist() for a in schedule.superstep_blocks(S, topo_position))
+    proc = schedule.proc.tolist()
+    node_work = dag.work.tolist()
+    occurring = (
+        (breakdown.work_matrix.sum(axis=1) > 0)
+        | (breakdown.send_matrix.sum(axis=1) > 0)
+        | (breakdown.recv_matrix.sum(axis=1) > 0)
+    ).tolist()
     phases: List[PhaseInterval] = []
     executions: List[NodeExecution] = []
     clock = 0.0
 
     for s in range(S):
-        occurs = (
-            breakdown.work_matrix[s].sum() > 0
-            or breakdown.send_matrix[s].sum() > 0
-            or breakdown.recv_matrix[s].sum() > 0
-        )
-        if not occurs:
+        if not occurring[s]:
             continue
         # Computation phase.
         work_duration = float(breakdown.work_per_step[s])
         if work_duration > 0:
             phases.append(PhaseInterval(s, "compute", clock, clock + work_duration))
         per_processor_cursor: Dict[int, float] = {p: clock for p in range(machine.P)}
-        for v in sorted(schedule.nodes_in_superstep(s), key=lambda v: topo_position[v]):
-            p = int(schedule.proc[v])
+        for v in order[bounds[s]:bounds[s + 1]]:
+            p = proc[v]
             start = per_processor_cursor[p]
-            end = start + float(dag.work[v])
+            end = start + float(node_work[v])
             per_processor_cursor[p] = end
             executions.append(NodeExecution(v, p, s, start, end))
         clock += work_duration

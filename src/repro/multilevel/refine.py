@@ -41,23 +41,18 @@ def project_schedule(
     if finer_steps > coarse_steps:
         raise ValueError("finer_steps must not exceed coarse_steps")
     fine_dag, fine_mapping = sequence.coarse_dag_after(finer_steps)
-    coarse_mapping = None
-    # Mapping from original nodes to coarse nodes of the *coarse* level.
-    _, coarse_mapping = sequence.coarse_dag_after(coarse_steps)
+    # Mapping from original nodes to coarse nodes of the *coarse* level: the
+    # node numbering coarse_dag_after(coarse_steps) gives, without building
+    # that DAG again.
+    _, coarse_mapping = np.unique(sequence.partition_after(coarse_steps), return_inverse=True)
 
-    # For every fine cluster pick any original member; its coarse cluster
-    # determines the inherited assignment.
-    representative_original = {}
-    for original_node in range(sequence.dag.n):
-        fine_node = int(fine_mapping[original_node])
-        representative_original.setdefault(fine_node, original_node)
-
+    # Every original member of a fine cluster lies in the same coarse
+    # cluster (the coarse partition merges fine clusters), so scattering
+    # through all members writes one value per fine cluster.
     proc = np.zeros(fine_dag.n, dtype=np.int64)
     step = np.zeros(fine_dag.n, dtype=np.int64)
-    for fine_node, original_node in representative_original.items():
-        coarse_node = int(coarse_mapping[original_node])
-        proc[fine_node] = coarse_schedule.proc[coarse_node]
-        step[fine_node] = coarse_schedule.step[coarse_node]
+    proc[fine_mapping] = coarse_schedule.proc[coarse_mapping]
+    step[fine_mapping] = coarse_schedule.step[coarse_mapping]
     step = legalize_superstep_assignment(fine_dag, proc, step)
     return BspSchedule(fine_dag, machine, proc, step)
 

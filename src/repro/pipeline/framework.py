@@ -111,14 +111,12 @@ def _run_pipeline(
     # ------------------------------------------------------------------
     t0 = time.monotonic()
     with _trace.span("init") as stage_span:
-        init_schedules: List[Tuple[str, BspSchedule]] = []
-        initializer_costs: Dict[str, float] = {}
+        init_schedules: List[Tuple[str, BspSchedule, float]] = []
         for scheduler in _initializers(machine, config):
             sched = scheduler.schedule(dag, machine)
-            init_schedules.append((scheduler.name, sched))
-            initializer_costs[scheduler.name] = float(sched.cost())
-        best_init_name, best_init_schedule = min(init_schedules, key=lambda kv: kv[1].cost())
-        init_cost = float(best_init_schedule.cost())
+            init_schedules.append((scheduler.name, sched, float(sched.cost())))
+        initializer_costs = {name: cost for name, _, cost in init_schedules}
+        best_init_name, _, init_cost = min(init_schedules, key=lambda item: item[2])
         if _trace.enabled():
             stage_span.annotate(best=best_init_name, cost=init_cost)
     stage_seconds["init"] = time.monotonic() - t0
@@ -130,7 +128,7 @@ def _run_pipeline(
     with _trace.span("local_search") as stage_span:
         best_schedule: Optional[BspSchedule] = None
         best_cost = float("inf")
-        for _, sched in init_schedules:
+        for _, sched, _ in init_schedules:
             hc_result = hill_climb(
                 sched,
                 variant=config.hc_variant,

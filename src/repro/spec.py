@@ -265,7 +265,7 @@ class MachineSpec:
         object.__setattr__(self, "inter", float(self.inter))
         if self.numa is not None:
             object.__setattr__(
-                self, "numa", tuple(tuple(float(x) for x in row) for row in self.numa)
+                self, "numa", tuple(tuple(map(float, row)) for row in self.numa)
             )
         if self.P <= 0:
             raise SpecError("P must be positive")
@@ -314,7 +314,7 @@ class MachineSpec:
             P=machine.P,
             g=machine.g,
             l=machine.l,
-            numa=tuple(tuple(float(x) for x in row) for row in np.asarray(machine.numa)),
+            numa=tuple(map(tuple, np.asarray(machine.numa, dtype=np.float64).tolist())),
             memory_bound=memory_bound,
         )
 
