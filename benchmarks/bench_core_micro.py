@@ -13,7 +13,7 @@ import pytest
 from repro.baselines.cilk import CilkScheduler
 from repro.baselines.hdagg import HDaggScheduler
 from repro.baselines.list_schedulers import BlEstScheduler, EtfScheduler
-from repro.experiments.runner import ParallelRunner
+from repro.experiments.runner import run_experiment
 from repro.graphs.dag import ComputationalDAG
 from repro.graphs.fine import exp_dag
 from repro.heuristics.bspg import BspGreedyScheduler
@@ -147,11 +147,11 @@ def test_move_probe_throughput(benchmark, hdagg_schedule):
 
 
 def test_parallel_runner_serial_engine(benchmark, machine):
-    """Engine overhead: baselines-only experiment through ParallelRunner."""
+    """Engine overhead: baselines-only experiment through the serial engine."""
     dags = [exp_dag(5, k=2, q=0.3, seed=s) for s in (1, 2)]
 
     def run():
-        return ParallelRunner(1).run_experiment(dags, machine, baselines_only=True)
+        return run_experiment(dags, machine, baselines_only=True, jobs=1)
 
     experiment = benchmark.pedantic(run, rounds=5, iterations=1)
     assert len(experiment.instances) == 2

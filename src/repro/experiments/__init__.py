@@ -19,9 +19,7 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     ".runner": (
         "InstanceResult",
         "ExperimentResult",
-        "run_instance",
         "run_experiment",
-        "stage_ratio_summary",
     ),
     ".tables": ("tables",),
     ".persistence": (

@@ -9,12 +9,16 @@ all tables and figures:
   scheduler-name)`` tuple whose scheduler is resolved through
   :mod:`repro.registry` (baselines) or runs one of the two composite
   evaluations (the pipeline stages, the multilevel sweep),
+* :func:`spec_items` turns scheduler spec strings into work items on a
+  prebuilt instance (:meth:`WorkItem.from_request` does the same for a
+  declarative request),
 * :class:`ParallelRunner` executes work items either in-process or on a
   ``multiprocessing`` pool (``jobs > 1``), with deterministic result
   ordering regardless of completion order and optional incremental
   persistence through :mod:`repro.experiments.persistence`,
-* :func:`run_instance` / :func:`run_experiment` keep the historical
-  aggregate API on top of the engine.
+* :func:`run_experiment` runs the table label set over a dataset and
+  aggregates it per instance; :func:`schedule_many` runs several
+  schedulers on one instance and keeps their schedules.
 
 Every cost the engine records comes from a validated schedule: baselines go
 through :meth:`Scheduler.schedule_checked` and the composite items validate
@@ -60,11 +64,9 @@ __all__ = [
     "execute_work_item",
     "execute_work_item_tolerant",
     "resolve_cost_label",
-    "run_instance",
     "run_experiment",
     "schedule_many",
-    "set_default_jobs",
-    "stage_ratio_summary",
+    "spec_items",
 ]
 
 #: Stage / algorithm labels used throughout the tables.  The baseline labels
@@ -206,10 +208,7 @@ class WorkItem:
         *,
         index: int = 0,
         instance: int = 0,
-        label: Optional[str] = None,
         keep_schedule: bool = False,
-        dag: Optional[ComputationalDAG] = None,
-        machine: Optional[BspMachine] = None,
     ) -> "WorkItem":
         """Build a work item from a declarative :class:`~repro.spec.SolveRequest`.
 
@@ -217,9 +216,8 @@ class WorkItem:
         engine: the scheduler spec is canonicalized (merging the request's
         seed / time budget, see
         :func:`repro.registry.canonical_scheduler_spec`) and the DAG and
-        machine are materialized from the problem spec — or taken from
-        ``dag`` / ``machine`` when the caller already holds the built
-        instance (the experiment tables do, avoiding a rebuild).
+        machine are materialized from the problem spec.  Callers that
+        already hold the built instance use :func:`spec_items`.
         """
         scheduler = canonical_scheduler_spec(
             request.scheduler, seed=request.seed, time_budget=request.time_budget
@@ -227,10 +225,9 @@ class WorkItem:
         return cls(
             index=index,
             instance=instance,
-            dag=dag if dag is not None else request.spec.build_dag(),
-            machine=machine if machine is not None else request.spec.build_machine(),
+            dag=request.spec.build_dag(),
+            machine=request.spec.build_machine(),
             scheduler=scheduler,
-            label=label,
             keep_schedule=keep_schedule,
         )
 
@@ -265,6 +262,39 @@ class WorkItem:
             )
         )
         return hashlib.md5(payload.encode()).hexdigest()
+
+
+def spec_items(
+    dag: ComputationalDAG,
+    machine: BspMachine,
+    specs: Sequence[str],
+    labels: Optional[Sequence[str]] = None,
+    *,
+    first_index: int = 0,
+    instance: int = 0,
+    time_budget: Optional[float] = None,
+    keep_schedule: bool = False,
+) -> List[WorkItem]:
+    """One work item per scheduler spec string on a prebuilt instance.
+
+    Each item runs the canonical spec (merging ``time_budget``, see
+    :func:`repro.registry.canonical_scheduler_spec`) and records its cost
+    under its label — the spec string as given unless ``labels`` names
+    them.  Items are numbered from ``first_index``; the DAG and machine are
+    shared, not copied, so wrapping them in a problem spec is never needed.
+    """
+    return [
+        WorkItem(
+            index=first_index + k,
+            instance=instance,
+            dag=dag,
+            machine=machine,
+            scheduler=canonical_scheduler_spec(spec, time_budget=time_budget),
+            label=label,
+            keep_schedule=keep_schedule,
+        )
+        for k, (spec, label) in enumerate(zip(specs, specs if labels is None else labels))
+    ]
 
 
 @dataclass
@@ -467,66 +497,6 @@ def execute_work_item_tolerant(item: WorkItem) -> WorkItemResult:
         )
 
 
-def _instance_work_items(
-    instance: int,
-    next_index: int,
-    dag: ComputationalDAG,
-    machine: BspMachine,
-    *,
-    pipeline_config: Optional[PipelineConfig],
-    include_list_baselines: bool,
-    include_trivial: bool,
-    multilevel_config: Optional[MultilevelConfig],
-    baselines_only: bool,
-) -> List[WorkItem]:
-    """The work items of one instance, in table label order.
-
-    Baseline items carry the canonical spec of their registry name, as
-    :meth:`WorkItem.from_request` would give them; the prebuilt DAG and
-    machine are used as they are, so nothing is copied or re-materialized.
-    """
-    labels = ["Cilk", "HDagg"]
-    if include_list_baselines:
-        labels += ["BL-EST", "ETF"]
-    if include_trivial:
-        labels.append("Trivial")
-    items = [
-        WorkItem(
-            index=next_index + k,
-            instance=instance,
-            dag=dag,
-            machine=machine,
-            scheduler=canonical_scheduler_spec(registry_name_for_label(label)),
-            label=label,
-        )
-        for k, label in enumerate(labels)
-    ]
-    if baselines_only:
-        return items
-    items.append(
-        WorkItem(
-            index=next_index + len(items),
-            instance=instance,
-            dag=dag,
-            machine=machine,
-            scheduler=PIPELINE_ITEM,
-            pipeline_config=pipeline_config,
-        )
-    )
-    if multilevel_config is not None:
-        items.append(
-            WorkItem(
-                index=next_index + len(items),
-                instance=instance,
-                dag=dag,
-                machine=machine,
-                scheduler=MULTILEVEL_ITEM,
-                multilevel_config=multilevel_config,
-            )
-        )
-    return items
-
-
 def _merge_instance(
     dag: ComputationalDAG, machine: BspMachine, results: Iterable[WorkItemResult]
 ) -> InstanceResult:
@@ -543,24 +513,10 @@ def _merge_instance(
 # ----------------------------------------------------------------------
 # The parallel engine
 # ----------------------------------------------------------------------
-_DEFAULT_JOBS: Optional[int] = None
-
-
-def set_default_jobs(jobs: Optional[int]) -> None:
-    """Set the process-wide default worker count of the experiment engine.
-
-    ``None`` restores the built-in default (the ``REPRO_JOBS`` environment
-    variable, falling back to serial execution).
-    """
-    global _DEFAULT_JOBS
-    _DEFAULT_JOBS = jobs
-
-
 def _resolve_jobs(jobs: Optional[int]) -> int:
+    """``jobs``, else the ``REPRO_JOBS`` environment variable, else serial."""
     if jobs is not None:
         return max(1, int(jobs))
-    if _DEFAULT_JOBS is not None:
-        return max(1, int(_DEFAULT_JOBS))
     return max(1, int(os.environ.get("REPRO_JOBS", "1")))
 
 
@@ -637,73 +593,10 @@ class ParallelRunner:
                 writer.close()
         return [done[item.index] for item in items]
 
-    # ------------------------------------------------------------------
-    def run_experiment(
-        self,
-        dags: Sequence[ComputationalDAG],
-        machine: BspMachine,
-        *,
-        pipeline_config: Optional[PipelineConfig] = None,
-        include_list_baselines: bool = True,
-        include_trivial: bool = True,
-        multilevel_config: Optional[MultilevelConfig] = None,
-        baselines_only: bool = False,
-    ) -> ExperimentResult:
-        """Run the full label set over a dataset and aggregate per instance."""
-        items: List[WorkItem] = []
-        for instance, dag in enumerate(dags):
-            items.extend(
-                _instance_work_items(
-                    instance,
-                    len(items),
-                    dag,
-                    machine,
-                    pipeline_config=pipeline_config,
-                    include_list_baselines=include_list_baselines,
-                    include_trivial=include_trivial,
-                    multilevel_config=multilevel_config,
-                    baselines_only=baselines_only,
-                )
-            )
-        results = self.execute(items)
-        experiment = ExperimentResult(machine_description=machine.describe())
-        for instance, dag in enumerate(dags):
-            experiment.instances.append(
-                _merge_instance(
-                    dag, machine, [r for r in results if r.instance == instance]
-                )
-            )
-        return experiment
-
 
 # ----------------------------------------------------------------------
 # Aggregate API (used by the tables, sweeps and tests)
 # ----------------------------------------------------------------------
-def run_instance(
-    dag: ComputationalDAG,
-    machine: BspMachine,
-    *,
-    pipeline_config: Optional[PipelineConfig] = None,
-    include_list_baselines: bool = True,
-    include_trivial: bool = True,
-    multilevel_config: Optional[MultilevelConfig] = None,
-    baselines_only: bool = False,
-) -> InstanceResult:
-    """Run the baselines (and the framework stages) on a single instance."""
-    items = _instance_work_items(
-        0,
-        0,
-        dag,
-        machine,
-        pipeline_config=pipeline_config,
-        include_list_baselines=include_list_baselines,
-        include_trivial=include_trivial,
-        multilevel_config=multilevel_config,
-        baselines_only=baselines_only,
-    )
-    return _merge_instance(dag, machine, [execute_work_item(item) for item in items])
-
-
 def run_experiment(
     dags: Sequence[ComputationalDAG],
     machine: BspMachine,
@@ -716,21 +609,49 @@ def run_experiment(
     checkpoint: Optional[str] = None,
     resume: bool = False,
 ) -> ExperimentResult:
-    """Run :func:`run_instance` over a dataset and collect the results.
+    """Run the full label set over a dataset and aggregate per instance.
 
-    With ``jobs > 1`` (or a matching :func:`set_default_jobs` / ``REPRO_JOBS``
-    default) the work items are executed on a process pool; aggregates are
-    identical to the serial run either way.
+    With ``jobs > 1`` (or a matching ``REPRO_JOBS`` default) the work items
+    are executed on a process pool; aggregates are identical to the serial
+    run either way.
     """
-    runner = ParallelRunner(jobs, checkpoint=checkpoint, resume=resume)
-    return runner.run_experiment(
-        dags,
-        machine,
-        pipeline_config=pipeline_config,
-        include_list_baselines=include_list_baselines,
-        multilevel_config=multilevel_config,
-        baselines_only=baselines_only,
-    )
+    # Per instance, in table label order: the baselines (each running the
+    # registry name of its label), then the pipeline and multilevel items.
+    labels = ["Cilk", "HDagg"] + (["BL-EST", "ETF"] if include_list_baselines else []) + ["Trivial"]
+    specs = [registry_name_for_label(label) for label in labels]
+    items: List[WorkItem] = []
+    for instance, dag in enumerate(dags):
+        items += spec_items(dag, machine, specs, labels, first_index=len(items), instance=instance)
+        if baselines_only:
+            continue
+        items.append(
+            WorkItem(
+                index=len(items),
+                instance=instance,
+                dag=dag,
+                machine=machine,
+                scheduler=PIPELINE_ITEM,
+                pipeline_config=pipeline_config,
+            )
+        )
+        if multilevel_config is not None:
+            items.append(
+                WorkItem(
+                    index=len(items),
+                    instance=instance,
+                    dag=dag,
+                    machine=machine,
+                    scheduler=MULTILEVEL_ITEM,
+                    multilevel_config=multilevel_config,
+                )
+            )
+    results = ParallelRunner(jobs, checkpoint=checkpoint, resume=resume).execute(items)
+    experiment = ExperimentResult(machine_description=machine.describe())
+    for instance, dag in enumerate(dags):
+        experiment.instances.append(
+            _merge_instance(dag, machine, [r for r in results if r.instance == instance])
+        )
+    return experiment
 
 
 def schedule_many(
@@ -743,46 +664,15 @@ def schedule_many(
     """Run several registry schedulers on one instance, keeping the schedules.
 
     This is the engine entry point used by the command line: each scheduler
-    spec is one work item under its canonical spec (as
-    :meth:`WorkItem.from_request` would build it, so parameterized specs
+    spec is one work item (see :func:`spec_items`, so parameterized specs
     like ``"hc(max_moves=50)"`` work), executed in parallel when
     ``jobs > 1``, and the checked schedules come back in the order the
     names were given.
     """
-    items = [
-        WorkItem(
-            index=k,
-            instance=0,
-            dag=dag,
-            machine=machine,
-            scheduler=canonical_scheduler_spec(name),
-            label=name,
-            keep_schedule=True,
-        )
-        for k, name in enumerate(scheduler_names)
-    ]
+    items = spec_items(dag, machine, scheduler_names, keep_schedule=True)
     results = ParallelRunner(jobs).execute(items)
     out: List[Tuple[str, BspSchedule]] = []
     for name, result in zip(scheduler_names, results):
         assert result.schedule is not None
         out.append((name, result.schedule))
     return out
-
-
-def stage_ratio_summary(
-    experiment: ExperimentResult, baseline: str = "Cilk", labels: Optional[Iterable[str]] = None
-) -> Dict[str, float]:
-    """Geometric-mean cost ratio (vs ``baseline``) for each requested label.
-
-    This is the data behind the bar charts of Figures 5, 6 and 7: every
-    algorithm's mean cost normalized to the Cilk baseline.
-    """
-    if labels is None:
-        labels = experiment.labels()
-    summary: Dict[str, float] = {}
-    for label in labels:
-        try:
-            summary[label] = experiment.mean_ratio(label, baseline)
-        except KeyError:
-            continue
-    return summary

@@ -36,15 +36,14 @@ from typing import Dict, Iterable, List, Optional, Sequence, Union
 from ..graphs.dag import ComputationalDAG
 from ..model.machine import BspMachine
 from ..pipeline.config import MultilevelConfig, PipelineConfig
-from ..registry import canonical_scheduler_spec
 from ..spec import MachineSpec
 from .runner import (
-    InstanceResult,
-    WorkItem,
+    ParallelRunner,
     _cost_ratio,
-    execute_work_item,
+    _merge_instance,
     resolve_cost_label,
-    run_instance,
+    run_experiment,
+    spec_items,
 )
 
 __all__ = ["SweepRecord", "MachineSpec", "ratio_to_baseline", "sweep", "records_to_csv"]
@@ -103,30 +102,6 @@ def ratio_to_baseline(costs: Dict[str, float], algorithm: str, baseline: str) ->
     return _cost_ratio(cost, baseline_cost)
 
 
-def _run_scheduler_specs(
-    dag: ComputationalDAG, machine: BspMachine, scheduler_specs: Sequence[str]
-) -> InstanceResult:
-    """Run registry spec strings on one instance; costs keyed by spec string.
-
-    Work items are constructed directly from the prebuilt instance (what
-    :meth:`WorkItem.from_request` reduces to when handed ``dag``/``machine``)
-    — embedding the DAG in an inline problem spec per grid cell would be
-    pure overhead.
-    """
-    merged = InstanceResult(dag_name=dag.name, num_nodes=dag.n, machine=machine)
-    for k, spec in enumerate(scheduler_specs):
-        item = WorkItem(
-            index=k,
-            instance=0,
-            dag=dag,
-            machine=machine,
-            scheduler=canonical_scheduler_spec(spec),
-            label=spec,
-        )
-        merged.costs.update(execute_work_item(item).costs)
-    return merged
-
-
 def sweep(
     datasets: Dict[str, Sequence[ComputationalDAG]],
     machines: Iterable[MachineSpec],
@@ -144,25 +119,31 @@ def sweep(
     replaced by the given registry spec strings (one cost per spec, keyed by
     the spec string) — the entry point for memory-bounded grids, where only
     memory-aware schedulers produce valid schedules.  ``baseline`` then
-    refers to one of the specs (case-insensitively).
+    refers to one of the specs (case-insensitively).  The grid runs serially.
     """
     records: List[SweepRecord] = []
     for spec in machines:
         machine = spec.build()
         meta = spec.describe()
         for dataset_name, dags in datasets.items():
-            for dag in dags:
-                if scheduler_specs is not None:
-                    result = _run_scheduler_specs(dag, machine, scheduler_specs)
-                else:
-                    result = run_instance(
-                        dag,
-                        machine,
-                        pipeline_config=pipeline_config,
-                        include_list_baselines=include_list_baselines,
-                        multilevel_config=multilevel_config,
-                        baselines_only=baselines_only,
+            if scheduler_specs is not None:
+                results = [
+                    _merge_instance(
+                        dag, machine, ParallelRunner(1).execute(spec_items(dag, machine, scheduler_specs))
                     )
+                    for dag in dags
+                ]
+            else:
+                results = run_experiment(
+                    dags,
+                    machine,
+                    pipeline_config=pipeline_config,
+                    include_list_baselines=include_list_baselines,
+                    multilevel_config=multilevel_config,
+                    baselines_only=baselines_only,
+                    jobs=1,
+                ).instances
+            for dag, result in zip(dags, results):
                 for algorithm, cost in result.costs.items():
                     ratio = ratio_to_baseline(result.costs, algorithm, baseline)
                     records.append(

@@ -34,6 +34,7 @@ __all__ = [
     "superstep_matrices",
     "superstep_row_costs",
     "superstep_block_costs",
+    "superstep_occurs",
 ]
 
 #: Tolerance below which a superstep's total activity counts as "empty"
@@ -113,20 +114,22 @@ def superstep_matrices(schedule: BspSchedule):
     return work[:S], send[:S], recv[:S]
 
 
-def _row_terms(work: np.ndarray, send: np.ndarray, recv: np.ndarray):
-    """Per-row ``(max work, h-relation, occurs)`` of ``(k, P)`` blocks.
+def superstep_occurs(work: np.ndarray, send: np.ndarray, recv: np.ndarray) -> np.ndarray:
+    """Which rows of ``(k, P)`` blocks occur (and are charged the latency).
 
     A superstep occurs when its work, send or receive total exceeds
-    :data:`OCCUPANCY_TOL`; every cost in this module uses this rule.
+    :data:`OCCUPANCY_TOL`; every cost in this module and the timeline
+    simulator use this rule.
     """
+    tol = OCCUPANCY_TOL
+    return (work.sum(axis=1) > tol) | (send.sum(axis=1) > tol) | (recv.sum(axis=1) > tol)
+
+
+def _row_terms(work: np.ndarray, send: np.ndarray, recv: np.ndarray):
+    """Per-row ``(max work, h-relation, occurs)`` of ``(k, P)`` blocks."""
     w = work.max(axis=1)
     h = np.maximum(send.max(axis=1), recv.max(axis=1))
-    occurs = (
-        (work.sum(axis=1) > OCCUPANCY_TOL)
-        | (send.sum(axis=1) > OCCUPANCY_TOL)
-        | (recv.sum(axis=1) > OCCUPANCY_TOL)
-    )
-    return w, h, occurs
+    return w, h, superstep_occurs(work, send, recv)
 
 
 def superstep_row_costs(

@@ -5,7 +5,8 @@ expands a schedule into an explicit execution timeline — when each
 computation phase and each communication phase of every superstep starts and
 ends under the BSP timing assumptions — which is useful for visualization,
 for sanity-checking the cost function (the makespan of the timeline equals
-the total cost by construction of the model), and for exporting traces.
+the total cost by construction of the model, up to the sub-tolerance traffic
+of supersteps that do not occur), and for exporting traces.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from .cost import evaluate
+from .cost import evaluate, superstep_occurs
 from .schedule import BspSchedule
 
 __all__ = ["PhaseInterval", "NodeExecution", "ScheduleTimeline", "simulate_timeline"]
@@ -70,8 +71,10 @@ def simulate_timeline(schedule: BspSchedule) -> ScheduleTimeline:
     executed back to back in topological order.  The phase lasts as long as
     the busiest processor (the work cost of the superstep); the communication
     phase lasts ``g`` times the h-relation; the latency is charged at the end
-    of every occurring superstep.  The resulting makespan therefore equals
-    the schedule's total cost.
+    of every occurring superstep, by the rule of
+    :func:`~repro.model.cost.superstep_occurs`.  The resulting makespan
+    therefore equals the schedule's total cost, up to the sub-tolerance
+    traffic of supersteps that do not occur.
     """
     breakdown = evaluate(schedule)
     dag = schedule.dag
@@ -83,10 +86,8 @@ def simulate_timeline(schedule: BspSchedule) -> ScheduleTimeline:
     order, bounds = (a.tolist() for a in schedule.superstep_blocks(S, topo_position))
     proc = schedule.proc.tolist()
     node_work = dag.work.tolist()
-    occurring = (
-        (breakdown.work_matrix.sum(axis=1) > 0)
-        | (breakdown.send_matrix.sum(axis=1) > 0)
-        | (breakdown.recv_matrix.sum(axis=1) > 0)
+    occurring = superstep_occurs(
+        breakdown.work_matrix, breakdown.send_matrix, breakdown.recv_matrix
     ).tolist()
     phases: List[PhaseInterval] = []
     executions: List[NodeExecution] = []

@@ -17,8 +17,7 @@ Design constraints:
   *before* delivering it and undoes the count when it loses the respond
   race to the deadline monitor;
 * percentiles use the same nearest-rank rule the serve stats endpoint has
-  always reported (:func:`percentiles` moved here from ``serve/pool.py``
-  and is re-exported there for compatibility).
+  always reported (:func:`percentiles` moved here from ``serve/pool.py``).
 """
 
 from __future__ import annotations

@@ -233,23 +233,9 @@ def _race_candidates_once(
     Returns ``spec -> (cost, schedule)``; a candidate that raises or returns
     an invalid schedule gets ``(inf, None)`` instead of ending the race.
     """
-    from ..experiments.runner import ParallelRunner, WorkItem
-    from ..registry import canonical_scheduler_spec
+    from ..experiments.runner import ParallelRunner, spec_items
 
-    # Work items are built directly on the in-memory instance; wrapping it
-    # in an inline ProblemSpec per rung would copy the whole DAG for nothing.
-    items = [
-        WorkItem(
-            index=k,
-            instance=0,
-            dag=dag,
-            machine=machine,
-            scheduler=canonical_scheduler_spec(spec, time_budget=time_limit),
-            label=spec,
-            keep_schedule=True,
-        )
-        for k, spec in enumerate(specs)
-    ]
+    items = spec_items(dag, machine, specs, time_budget=time_limit, keep_schedule=True)
     # Default to serial execution (not the engine-wide REPRO_JOBS default):
     # a race may itself be running inside a ParallelRunner worker process,
     # which must not spawn a nested pool.  ``portfolio(jobs=N)`` opts in.
@@ -260,7 +246,8 @@ def _race_candidates_once(
         if not result.valid or result.schedule is None:
             outcome[spec] = (float("inf"), None)
         else:
-            outcome[spec] = (float(result.schedule.cost()), result.schedule)
+            # The engine already costed the checked schedule; reuse it.
+            outcome[spec] = (result.breakdown["total_cost"], result.schedule)
     return outcome
 
 

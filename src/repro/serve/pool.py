@@ -45,9 +45,7 @@ from ..portfolio.cache import SolutionCache
 from ..spec import SolveRequest
 from . import protocol
 
-# ``percentiles`` moved to :mod:`repro.obs.metrics`; re-exported here because
-# it has always been part of this module's public surface.
-__all__ = ["Ticket", "WorkerPool", "percentiles"]
+__all__ = ["Ticket", "WorkerPool"]
 
 
 class Ticket:

@@ -38,7 +38,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     Metrics,
-    percentiles,
     render_prometheus,
 )
 from repro.obs.trace import (
@@ -111,16 +110,6 @@ class TestInstruments:
     def test_histogram_rejects_empty_window(self):
         with pytest.raises(ValueError):
             Histogram("h", window=0)
-
-    def test_percentiles_is_the_pool_function(self):
-        # serve/pool.py re-exports the moved function; one nearest-rank
-        # implementation serves both the stats endpoint and the registry.
-        from repro.serve.pool import percentiles as pool_percentiles
-
-        assert pool_percentiles is percentiles
-        assert percentiles([]) == {"p50": 0.0, "p90": 0.0, "p99": 0.0}
-        values = [float(k) for k in range(1, 101)]
-        assert percentiles(values) == {"p50": 50.0, "p90": 90.0, "p99": 99.0}
 
     def test_instruments_are_thread_safe(self):
         counter = Counter("c")

@@ -16,9 +16,7 @@ from repro.experiments.runner import (
     WorkItemResult,
     execute_work_item,
     run_experiment,
-    run_instance,
     schedule_many,
-    set_default_jobs,
 )
 from repro.graphs.fine import spmv_dag
 from repro.model.machine import BspMachine
@@ -82,12 +80,11 @@ class TestWorkItems:
 
 
 class TestParallelRunner:
-    def test_serial_engine_matches_run_instance(self, dags, machine, fast_config):
-        engine = ParallelRunner(1).run_experiment(
-            dags, machine, pipeline_config=fast_config
-        )
+    def test_batch_matches_per_instance(self, dags, machine, fast_config):
+        engine = run_experiment(dags, machine, pipeline_config=fast_config, jobs=1)
         by_hand = [
-            run_instance(dag, machine, pipeline_config=fast_config) for dag in dags
+            run_experiment([dag], machine, pipeline_config=fast_config, jobs=1).instances[0]
+            for dag in dags
         ]
         assert len(engine.instances) == len(by_hand)
         for got, want in zip(engine.instances, by_hand):
@@ -101,14 +98,12 @@ class TestParallelRunner:
             experiment_to_dict(parallel), sort_keys=True
         )
 
-    def test_default_jobs_override(self, dags, machine):
-        set_default_jobs(2)
-        try:
-            runner = ParallelRunner()
-            assert runner.jobs == 2
-        finally:
-            set_default_jobs(None)
-        assert ParallelRunner().jobs >= 1
+    def test_default_jobs_override(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        assert ParallelRunner().jobs == 2
+        assert ParallelRunner(1).jobs == 1
+        monkeypatch.delenv("REPRO_JOBS")
+        assert ParallelRunner().jobs == 1
 
     def test_checkpoint_and_resume(self, dags, machine, fast_config, tmp_path):
         checkpoint = tmp_path / "run.jsonl"
@@ -198,6 +193,32 @@ class TestParallelRunner:
         assert len(read_checkpoint(checkpoint)) == first
 
 
+class TestCrossPath:
+    def test_every_path_reports_the_same_cost_per_spec(self, machine):
+        """schedule_many, a spec sweep, a no-budget race and api.compare all
+        build their work items from the same specs and agree on every cost."""
+        from repro import api
+        from repro.experiments.sweep import sweep
+        from repro.portfolio import race
+        from repro.spec import DagSpec, MachineSpec, ProblemSpec
+
+        specs = ["cilk", "hdagg", "source", "bspg"]
+        problem = ProblemSpec(
+            dag=DagSpec.generator("spmv", n=6, q=0.3, seed=2),
+            machine=MachineSpec(P=2, g=2, l=3),
+        )
+        dag, machine = problem.build_dag(), problem.build_machine()
+        many = {name: float(s.cost()) for name, s in schedule_many(dag, machine, specs)}
+        swept = {
+            r.algorithm: r.cost
+            for r in sweep({"one": [dag]}, [problem.machine], baseline="cilk", scheduler_specs=specs)
+        }
+        raced = race(dag, machine, specs).costs
+        compared = {r.scheduler: r.total_cost for r in api.compare(problem, specs)}
+        assert many == swept == raced == compared
+        assert set(many) == set(specs)
+
+
 class TestScheduleMany:
     def test_results_in_request_order(self, dags, machine):
         names = ["hdagg", "cilk", "bspg"]
@@ -228,4 +249,4 @@ class TestScheduleMany:
 
         monkeypatch.setattr(cilk_mod.CilkScheduler, "schedule", bad_schedule)
         with pytest.raises(SchedulingError):
-            run_instance(dags[0], machine, baselines_only=True)
+            run_experiment([dags[0]], machine, baselines_only=True, jobs=1)

@@ -184,6 +184,23 @@ class TestRace:
         with pytest.raises(SchedulingError):
             race(dag, bounded, ["cilk", "etf"])
 
+    def test_race_costs_each_candidate_once(self, instance, monkeypatch):
+        """The race reads each candidate's cost from the engine's result
+        instead of evaluating the schedule a second time."""
+        from repro.model import cost as cost_module
+
+        calls = []
+        real = cost_module.evaluate
+
+        def counting(schedule):
+            calls.append(schedule)
+            return real(schedule)
+
+        monkeypatch.setattr(cost_module, "evaluate", counting)
+        outcome = race(*instance, ["cilk", "source"])
+        assert set(outcome.costs) == {"cilk", "source"}
+        assert len(calls) == 2
+
     def test_race_requires_candidates(self, instance):
         with pytest.raises(ValueError):
             race(*instance, [])

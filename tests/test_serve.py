@@ -21,6 +21,7 @@ import pytest
 
 from repro import api
 from repro.cli import main
+from repro.obs.metrics import percentiles
 from repro.registry import available_schedulers, make_scheduler, register_scheduler
 from repro.scheduler import Scheduler, SchedulingError
 from repro.serve import protocol
@@ -31,7 +32,7 @@ from repro.serve.client import (
     connect,
     parse_address,
 )
-from repro.serve.pool import Ticket, WorkerPool, percentiles
+from repro.serve.pool import Ticket, WorkerPool
 from repro.serve.server import ServeConfig, SolveServer
 from repro.spec import DagSpec, MachineSpec, ProblemSpec, SolveRequest, SolveResult
 

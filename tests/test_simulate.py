@@ -9,7 +9,7 @@ from repro.baselines.trivial import LevelRoundRobinScheduler
 from repro.graphs.dag import ComputationalDAG
 from repro.model.cost import evaluate
 from repro.model.machine import BspMachine
-from repro.model.schedule import BspSchedule
+from repro.model.schedule import BspSchedule, CommSchedule
 from repro.model.simulate import simulate_timeline
 
 
@@ -23,6 +23,19 @@ class TestTimelineStructure:
     def test_makespan_equals_cost_with_numa(self, exp_small, numa_machine):
         sched = HDaggScheduler().schedule(exp_small, numa_machine)
         assert simulate_timeline(sched).makespan == pytest.approx(sched.cost())
+
+    def test_residue_only_superstep_has_no_latency_phase(self):
+        """A superstep whose only traffic is below the occupancy tolerance does
+        not occur for the timeline either, as for evaluate."""
+        dag = ComputationalDAG(2, [(0, 1)], work=[1, 1], comm=[1, 0])
+        machine = BspMachine(P=2, g=1, l=5, numa=[[0, 1e-13], [1e-13, 0]])
+        comm = CommSchedule({(0, 0, 1, 1)})
+        sched = BspSchedule(dag, machine, np.array([0, 1]), np.array([0, 2]), comm)
+        breakdown = evaluate(sched)
+        timeline = simulate_timeline(sched)
+        latency = [p for p in timeline.phases if p.kind == "latency"]
+        assert len(latency) == breakdown.num_supersteps == 2
+        assert timeline.makespan == pytest.approx(breakdown.total)
 
     def test_every_node_executed_exactly_once(self, layered_dag, machine4):
         sched = HDaggScheduler().schedule(layered_dag, machine4)

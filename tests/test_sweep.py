@@ -103,11 +103,11 @@ class TestBaselineResolution:
             ratio_to_baseline({"Cilk": 3.0}, "nope", "Cilk")
 
     def test_instance_result_ratio_is_case_insensitive(self):
-        from repro.experiments.runner import run_instance
+        from repro.experiments.runner import run_experiment
 
-        result = run_instance(
-            spmv_dag(5, q=0.3, seed=1), BspMachine(P=2, g=1, l=3), baselines_only=True
-        )
+        (result,) = run_experiment(
+            [spmv_dag(5, q=0.3, seed=1)], BspMachine(P=2, g=1, l=3), baselines_only=True
+        ).instances
         assert result.ratio("hdagg", "cilk") == pytest.approx(
             result.ratio("HDagg", "Cilk")
         )
