@@ -39,6 +39,7 @@ from .experiments.runner import (
     ParallelRunner,
     WorkItem,
     WorkItemResult,
+    spec_items,
 )
 from .registry import make_scheduler, scheduler_info
 from .spec import MachineSpec, ProblemSpec, SolveRequest, SolveResult, SpecError
@@ -297,14 +298,15 @@ def compare(
 ) -> List[SolveResult]:
     """Run several schedulers on one problem; results in the given order.
 
-    A thin wrapper over :func:`solve_many` — one request per scheduler spec,
-    all sharing the problem, seed and time budget.
+    The problem's DAG and machine are built once and every spec runs on
+    that one instance (a seedless generator spec is one random draw, not
+    one per scheduler), sharing the seed and time budget.  Each result is
+    the one :func:`solve` gives for that spec on the same instance.
     """
-    requests = [
-        SolveRequest(spec=spec, scheduler=s, seed=seed, time_budget=time_budget)
-        for s in scheduler_specs
-    ]
-    return solve_many(requests, jobs=jobs)
+    dag, machine = spec.build_dag(), spec.build_machine()
+    items = spec_items(dag, machine, scheduler_specs, seed=seed, time_budget=time_budget)
+    results = ParallelRunner(jobs).execute(items)
+    return [to_solve_result(item, result) for item, result in zip(items, results)]
 
 
 # ----------------------------------------------------------------------

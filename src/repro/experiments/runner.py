@@ -272,13 +272,14 @@ def spec_items(
     *,
     first_index: int = 0,
     instance: int = 0,
+    seed: Optional[int] = None,
     time_budget: Optional[float] = None,
     keep_schedule: bool = False,
 ) -> List[WorkItem]:
     """One work item per scheduler spec string on a prebuilt instance.
 
-    Each item runs the canonical spec (merging ``time_budget``, see
-    :func:`repro.registry.canonical_scheduler_spec`) and records its cost
+    Each item runs the canonical spec (merging ``seed`` and ``time_budget``,
+    see :func:`repro.registry.canonical_scheduler_spec`) and records its cost
     under its label — the spec string as given unless ``labels`` names
     them.  Items are numbered from ``first_index``; the DAG and machine are
     shared, not copied, so wrapping them in a problem spec is never needed.
@@ -289,7 +290,7 @@ def spec_items(
             instance=instance,
             dag=dag,
             machine=machine,
-            scheduler=canonical_scheduler_spec(spec, time_budget=time_budget),
+            scheduler=canonical_scheduler_spec(spec, seed=seed, time_budget=time_budget),
             label=label,
             keep_schedule=keep_schedule,
         )

@@ -43,7 +43,8 @@ import json
 import os
 import tempfile
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -143,19 +144,34 @@ def default_cache_dir() -> Optional[str]:
 class CacheEntry:
     """One cached solution: the solve outcome plus its schedule.
 
-    The schedule is the load-bearing half (a hit replays it instead of
-    re-solving); the stored :class:`~repro.spec.SolveResult` is the
-    introspection payload — ``portfolio-explain`` and services reading the
-    cache directly get the full outcome without re-costing — and is ``None``
-    when an entry predates a result-schema detail (never a reason to
-    re-solve).
+    The schedule is the portfolio's half (a hit replays it instead of
+    re-solving); the stored :class:`~repro.spec.SolveResult` is what the
+    daemon answers with, and what ``portfolio-explain`` and services reading
+    the cache directly get without re-costing — it is ``None`` when an entry
+    predates a result-schema detail (never a reason to re-solve).
+
+    Decoding a schedule rebuilds its DAG and machine, so :attr:`schedule` is
+    decoded from the stored payload on first read only: a caller answering
+    from the result pays nothing for it.  Every :meth:`SolutionCache.get`
+    returns a new entry, so each hit still gets its own schedule.
     """
 
     result: Optional[SolveResult]
-    schedule: BspSchedule
+    #: The stored schedule dictionary (:func:`repro.experiments.persistence.schedule_to_dict`).
+    schedule_payload: Dict[str, Any] = field(repr=False)
     #: The scheduler spec the portfolio actually delegated to (for
     #: ``portfolio-explain`` and cache introspection).
     chosen: str = ""
+
+    @cached_property
+    def schedule(self) -> BspSchedule:
+        """The stored schedule; raises :class:`ValueError` if it cannot be decoded."""
+        from ..experiments.persistence import schedule_from_dict
+
+        try:
+            return schedule_from_dict(self.schedule_payload)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"undecodable cached schedule: {exc!r}") from exc
 
 
 class SolutionCache:
@@ -263,9 +279,12 @@ class SolutionCache:
     def get(
         self, signature: str, scheduler_spec: str, seed: Optional[int] = None
     ) -> Optional[CacheEntry]:
-        """Cached solution for the key, or ``None`` on a miss."""
-        from ..experiments.persistence import schedule_from_dict
+        """Cached solution for the key, or ``None`` on a miss.
 
+        The entry's schedule is decoded when first read (see
+        :class:`CacheEntry`); a caller that finds it undecodable treats the
+        entry as a miss and reports so with :meth:`demote_hit`.
+        """
         key = self.key(signature, scheduler_spec, seed)
         payload = self._lru_get(key)
         if payload is None:
@@ -287,18 +306,22 @@ class SolutionCache:
             # entries.  (In-process LRU hits never touch the filesystem and
             # are deliberately not journaled.)
             self._journal_record(path.parent, key)
-        try:
-            schedule = schedule_from_dict(payload["schedule"])
-        except (KeyError, TypeError, ValueError):
+        schedule = payload.get("schedule")
+        if not isinstance(schedule, dict):
             self._count_miss()
             return None
         try:
             result: Optional[SolveResult] = SolveResult.from_dict(payload["result"])
         except (KeyError, TypeError, ValueError):
             result = None
-        entry = CacheEntry(result=result, schedule=schedule, chosen=payload.get("chosen", ""))
+        entry = CacheEntry(result=result, schedule_payload=schedule, chosen=payload.get("chosen", ""))
         self._count_hit()
         return entry
+
+    def demote_hit(self) -> None:
+        """Recount a hit as a miss: its caller could not decode the schedule."""
+        self._hits.inc(-1)
+        self._count_miss()
 
     def put(
         self,

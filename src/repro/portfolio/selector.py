@@ -472,10 +472,15 @@ class PortfolioScheduler(Scheduler):
             signature = instance_signature(dag, machine)
             entry = self._cache.get(signature, self.spec_string(), self.seed)
             if entry is not None:
-                self.last_cache_hit = True
-                self.last_cache_entry = entry
-                self.last_chosen = entry.chosen or None
-                return entry.schedule
+                try:
+                    schedule = entry.schedule
+                except ValueError:  # undecodable: a miss, re-solved and overwritten
+                    self._cache.demote_hit()
+                else:
+                    self.last_cache_hit = True
+                    self.last_cache_entry = entry
+                    self.last_chosen = entry.chosen or None
+                    return schedule
 
         if self.mode == "race":
             outcome = race(

@@ -28,9 +28,12 @@ directory.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import queue
 import threading
 import time
+from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..api import broken_request_result, to_solve_result
@@ -42,6 +45,7 @@ from ..experiments.runner import (
 from ..obs import trace as _trace
 from ..obs.metrics import Counter, Instrument, Metrics, percentiles
 from ..portfolio.cache import SolutionCache
+from ..registry import canonical_scheduler_spec
 from ..spec import SolveRequest
 from . import protocol
 
@@ -111,6 +115,9 @@ class WorkerPool:
     MONITOR_INTERVAL = 0.02
     #: Latency window backing the stats percentiles.
     LATENCY_WINDOW = 2048
+    #: Problems whose instance signature is memoized (least recently used
+    #: dropped first); a repeat of one looks the cache up without a build.
+    SIGNATURE_MEMO = 1024
 
     def __init__(
         self,
@@ -132,6 +139,8 @@ class WorkerPool:
         self._lock = threading.Lock()
         self._watched: List[Ticket] = []
         self._in_flight = 0
+        #: Problem key -> instance signature, for pure problems built once.
+        self._signatures: "OrderedDict[str, str]" = OrderedDict()
         #: Per-pool metrics registry: request counters, one labeled error
         #: counter per protocol error code, and the bounded latency
         #: histogram that replaced the historical (unbounded) latency list.
@@ -391,30 +400,34 @@ class WorkerPool:
             return response, cache_hit
 
     def _solve_inner(self, request: SolveRequest, rid: Any) -> Tuple[Dict[str, Any], bool]:
+        problem = self._problem_key(request)
+        signature = self._signature_of(problem)
+        item: Optional[WorkItem] = None
         try:
-            item = WorkItem.from_request(request, keep_schedule=True)
-        except REQUEST_BUILD_FAILURES as exc:
-            return (
-                protocol.error_response(
-                    rid,
-                    protocol.E_INVALID_SPEC,
-                    str(exc),
-                    result=broken_request_result(request, exc).to_dict(),
-                ),
-                False,
+            # Seed and time budget fold into the canonical spec string, so
+            # the cache key's seed slot stays empty — two requests with the
+            # same canonical spec are the same computation.
+            scheduler = canonical_scheduler_spec(
+                request.scheduler, seed=request.seed, time_budget=request.time_budget
             )
-        signature: Optional[str] = None
-        if self.cache is not None:
+            if signature is None:  # a memoized problem is looked up unbuilt
+                item = WorkItem.from_request(request, keep_schedule=True)
+        except REQUEST_BUILD_FAILURES as exc:
+            return self._invalid_spec(request, rid, exc), False
+        if self.cache is not None and item is not None:
             from ..portfolio.features import instance_signature
 
-            # Seed and time budget are already folded into the canonical
-            # spec string by WorkItem.from_request, so the cache key's seed
-            # slot stays empty — two requests with the same canonical spec
-            # are the same computation.
             signature = instance_signature(item.dag, item.machine)
-            entry = self.cache.get(signature, item.scheduler, None)
+            self._remember_signature(problem, signature)
+        if self.cache is not None and signature is not None:
+            entry = self.cache.get(signature, scheduler, None)
             if entry is not None and entry.result is not None:
                 return protocol.result_response(rid, entry.result.to_dict(), cached=True), True
+        if item is None:  # a memoized problem that missed: build it now
+            try:
+                item = WorkItem.from_request(request, keep_schedule=True)
+            except REQUEST_BUILD_FAILURES as exc:
+                return self._invalid_spec(request, rid, exc), False
         outcome = execute_work_item_tolerant(item)
         result = to_solve_result(item, outcome)
         if not outcome.valid:
@@ -439,6 +452,46 @@ class WorkerPool:
                 chosen=item.scheduler,
             )
         return protocol.result_response(rid, result.to_dict(), cached=False), False
+
+    @staticmethod
+    def _invalid_spec(request: SolveRequest, rid: Any, exc: Exception) -> Dict[str, Any]:
+        return protocol.error_response(
+            rid,
+            protocol.E_INVALID_SPEC,
+            str(exc),
+            result=broken_request_result(request, exc).to_dict(),
+        )
+
+    def _problem_key(self, request: SolveRequest) -> Optional[str]:
+        """Digest of the canonical problem JSON, or ``None`` if not memoizable.
+
+        Only a pure problem (:attr:`repro.spec.DagSpec.pure`) is: any other
+        builds a fresh DAG per request — a seedless generator draws a new
+        one, a hyperDAG file may have been rewritten — which must never be
+        answered from another build's cache entry.
+        """
+        if self.cache is None or not request.spec.dag.pure:
+            return None
+        text = json.dumps(request.spec.to_dict(), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    def _signature_of(self, problem: Optional[str]) -> Optional[str]:
+        """The memoized instance signature of a problem key, if any."""
+        if problem is None:
+            return None
+        with self._lock:
+            signature = self._signatures.get(problem)
+            if signature is not None:
+                self._signatures.move_to_end(problem)
+            return signature
+
+    def _remember_signature(self, problem: Optional[str], signature: str) -> None:
+        if problem is None:
+            return
+        with self._lock:
+            self._signatures[problem] = signature
+            if len(self._signatures) > self.SIGNATURE_MEMO:
+                self._signatures.popitem(last=False)
 
     # ------------------------------------------------------------------
     # Deadlines

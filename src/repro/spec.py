@@ -25,6 +25,7 @@ every spec class; :meth:`SolveResult.to_dict` is deterministic by default
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -65,6 +66,29 @@ def _freeze_params(params: Union[Mapping[str, Any], Sequence[Tuple[str, Any]], N
     return tuple(sorted(frozen))
 
 
+def _int_tuple(values: Sequence[Any]) -> Tuple[int, ...]:
+    """``values`` as a tuple of plain ints; a tuple of ints is kept as is."""
+    if type(values) is tuple and set(map(type, values)) <= {int}:
+        return values
+    return tuple(int(v) for v in values)
+
+
+def _int_pairs(edges: Sequence[Sequence[Any]]) -> Tuple[Tuple[int, int], ...]:
+    """``edges`` as a tuple of ``(int, int)`` pairs; such a tuple is kept as is.
+
+    The type test is several times cheaper than rebuilding every pair, which
+    matters for specs embedding a large DAG (:meth:`DagSpec.from_dag`).
+    """
+    if (
+        type(edges) is tuple
+        and set(map(type, edges)) <= {tuple}
+        and set(map(len, edges)) <= {2}
+        and set(map(type, itertools.chain.from_iterable(edges))) <= {int}
+    ):
+        return edges
+    return tuple((int(u), int(v)) for u, v in edges)
+
+
 @dataclass(frozen=True)
 class DagSpec:
     """Serializable description of where a computational DAG comes from.
@@ -95,13 +119,11 @@ class DagSpec:
         if self.source not in _DAG_SOURCES:
             raise SpecError(f"unknown DAG source {self.source!r}; expected one of {_DAG_SOURCES}")
         object.__setattr__(self, "params", _freeze_params(self.params))
-        object.__setattr__(self, "edges", tuple((int(u), int(v)) for u, v in self.edges))
-        if self.work is not None:
-            object.__setattr__(self, "work", tuple(int(w) for w in self.work))
-        if self.comm is not None:
-            object.__setattr__(self, "comm", tuple(int(c) for c in self.comm))
-        if self.memory is not None:
-            object.__setattr__(self, "memory", tuple(int(m) for m in self.memory))
+        object.__setattr__(self, "edges", _int_pairs(self.edges))
+        for field_name in ("work", "comm", "memory"):
+            values = getattr(self, field_name)
+            if values is not None:
+                object.__setattr__(self, field_name, _int_tuple(values))
         if self.source == "generator" and not self.kind:
             raise SpecError("generator DAG specs need a 'kind'")
         if self.source == "hyperdag" and not self.path:
@@ -129,17 +151,16 @@ class DagSpec:
         Memory weights are only embedded when they differ from the work
         weights (their default), keeping the common case compact.
         """
-        memory = None
-        if not np.array_equal(np.asarray(dag.memory), np.asarray(dag.work)):
-            memory = tuple(int(m) for m in np.asarray(dag.memory))
+        work = np.asarray(dag.work)
+        memory = np.asarray(dag.memory)
         return cls(
             source="inline",
             n=int(dag.n),
             edges=tuple(dag.edges),
-            work=tuple(int(w) for w in np.asarray(dag.work)),
-            comm=tuple(int(c) for c in np.asarray(dag.comm)),
+            work=tuple(work.tolist()),
+            comm=tuple(np.asarray(dag.comm).tolist()),
             name=dag.name,
-            memory=memory,
+            memory=None if np.array_equal(memory, work) else tuple(memory.tolist()),
         )
 
     # ------------------------------------------------------------------
@@ -147,6 +168,30 @@ class DagSpec:
     def params_dict(self) -> Dict[str, Any]:
         """Generator parameters as a plain dict."""
         return dict(self.params)
+
+    @property
+    def pure(self) -> bool:
+        """Whether :meth:`build` is a function of this spec alone.
+
+        Follows :meth:`build`'s dispatch: inline specs and the coarse
+        generators are pure; a fine generator (``cg`` resolves there first)
+        draws a random sparsity pattern unless the spec fixes an integer
+        ``seed`` or an explicit ``pattern``; a hyperDAG file may change on
+        disk between two builds, so it never is.  Callers may memoize what
+        they derive from a pure spec's DAG by the spec alone.
+        """
+        if self.source != "generator":
+            return self.source == "inline"
+        from .graphs.coarse import COARSE_GRAINED_GENERATORS
+        from .graphs.fine import FINE_GRAINED_GENERATORS
+
+        if self.kind in FINE_GRAINED_GENERATORS:
+            params = self.params_dict
+            seed = params.get("seed")
+            return params.get("pattern") is not None or (
+                isinstance(seed, int) and not isinstance(seed, bool)
+            )
+        return self.kind in COARSE_GRAINED_GENERATORS
 
     def build(self) -> ComputationalDAG:
         """Materialize the computational DAG this spec describes."""

@@ -92,6 +92,34 @@ class TestSolveMany:
         assert len(results) == 2
         assert {r.dag_name for r in results} == {"spmv_n6"}
 
+    def test_compare_builds_the_problem_once(self, spmv_spec, monkeypatch):
+        calls = []
+        build_dag = ProblemSpec.build_dag
+
+        def counting(self):
+            calls.append(self)
+            return build_dag(self)
+
+        monkeypatch.setattr(ProblemSpec, "build_dag", counting)
+        results = api.compare(spmv_spec, ["cilk", "hdagg", "bl-est", "etf", "hc(max_moves=5)"])
+        assert len(calls) == 1
+        monkeypatch.undo()
+        # Each result is what a one-shot solve of that spec gives, byte for byte.
+        expected = [
+            api.solve(SolveRequest(spec=spmv_spec, scheduler=s, seed=3)).to_json()
+            for s in ["cilk", "hc(max_moves=5)"]
+        ]
+        assert [r.to_json() for r in api.compare(spmv_spec, ["cilk", "hc(max_moves=5)"], seed=3)] == expected
+        assert results[0].to_json() == api.solve(SolveRequest(spec=spmv_spec, scheduler="cilk")).to_json()
+
+    def test_compare_runs_a_seedless_problem_on_one_draw(self):
+        spec = ProblemSpec(
+            dag=DagSpec.generator("spmv", n=8, q=0.3), machine=MachineSpec(P=2, g=2, l=3)
+        )
+        results = api.compare(spec, ["bl-est"] * 3)
+        assert len({r.num_nodes for r in results}) == 1
+        assert len({r.to_json() for r in results}) == 1
+
 
 class TestJsonlHelpers:
     def test_load_requests_round_trip(self, spmv_spec, tmp_path):

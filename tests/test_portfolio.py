@@ -256,6 +256,39 @@ class TestSolutionCache:
         path.write_text("{not json")
         assert cache.get("ab" * 32, "portfolio", None) is None
 
+    def test_undecodable_schedule_is_a_miss_for_the_portfolio(self, instance, tmp_path):
+        dag, machine = instance
+        solved = PortfolioScheduler(cache=str(tmp_path)).schedule_checked(dag, machine)
+        sig = instance_signature(dag, machine)
+        portfolio = PortfolioScheduler(cache=str(tmp_path))
+        path = portfolio.cache.entry_path(sig, portfolio.spec_string(), None)
+        payload = json.loads(path.read_text())
+        del payload["schedule"]["proc"]  # valid JSON and result, broken schedule
+        path.write_text(json.dumps(payload))
+        probe = SolutionCache(tmp_path).get(sig, portfolio.spec_string(), None)
+        assert probe is not None and probe.result is not None
+        with pytest.raises(ValueError, match="undecodable"):
+            _ = probe.schedule
+        schedule = portfolio.schedule_checked(dag, machine)
+        assert portfolio.last_cache_hit is False
+        assert np.array_equal(schedule.proc, solved.proc)
+        cache = portfolio.cache
+        assert (cache.hits, cache.misses, cache.stores) == (0, 1, 1)
+        # The re-solve overwrote the entry: the next lookup replays it.
+        again = PortfolioScheduler(cache=str(tmp_path))
+        assert np.array_equal(again.schedule_checked(dag, machine).step, solved.step)
+        assert again.last_cache_hit is True
+
+    def test_each_hit_gets_its_own_schedule(self, instance, tmp_path):
+        dag, machine = instance
+        portfolio = PortfolioScheduler(cache=str(tmp_path))
+        portfolio.schedule_checked(dag, machine)
+        first = portfolio.schedule_checked(dag, machine)
+        second = portfolio.schedule_checked(dag, machine)
+        assert portfolio.last_cache_hit is True
+        assert first is not second and first.proc is not second.proc
+        assert portfolio.last_cache_entry.schedule is second
+
     def test_lru_serves_repeated_hits(self, instance, tmp_path):
         dag, machine = instance
         portfolio = PortfolioScheduler(cache=str(tmp_path))

@@ -553,3 +553,155 @@ class TestCli:
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         with pytest.raises(SystemExit, match="no cache directory"):
             main(["cache-stats"])
+
+
+# ----------------------------------------------------------------------
+# Warm hits: memoized signatures and lazily decoded schedules
+# ----------------------------------------------------------------------
+def _serve_raw(address, requests):
+    """Send requests one at a time on one connection; the raw responses."""
+    conn = RawConnection(address)
+    try:
+        responses = []
+        for rid, request in enumerate(requests):
+            conn.send(protocol.solve_message(request.to_dict(), id=rid))
+            responses.append(conn.recv())
+        return responses
+    finally:
+        conn.close()
+
+
+@pytest.fixture
+def dag_builds(monkeypatch):
+    """Every DAG a ``DagSpec.build`` call returns, in call order."""
+    built = []
+    build = DagSpec.build
+
+    def recording(self):
+        dag = build(self)
+        built.append(dag)
+        return dag
+
+    monkeypatch.setattr(DagSpec, "build", recording)
+    return built
+
+
+class TestWarmHits:
+    MACHINE = MachineSpec(P=2, g=2, l=3)
+
+    @pytest.mark.parametrize(
+        "dag_spec",
+        [
+            DagSpec.generator("spmv", n=8, q=0.3, seed=5),
+            DagSpec.generator("pagerank", iterations=3),
+            DagSpec(source="inline", n=4, edges=((0, 1), (0, 2), (1, 3), (2, 3)), work=(1, 2, 3, 4)),
+        ],
+        ids=["seeded", "coarse", "inline"],
+    )
+    def test_pure_problem_is_built_once(self, server, dag_builds, dag_spec):
+        request = SolveRequest(spec=ProblemSpec(dag=dag_spec, machine=self.MACHINE), scheduler="etf")
+        responses = _serve_raw(server.address, [request] * 4)
+        assert len(dag_builds) == 1
+        # Another scheduler on the memoized problem misses once, builds, then hits.
+        other = SolveRequest(spec=request.spec, scheduler="cilk")
+        others = _serve_raw(server.address, [other] * 2)
+        assert len(dag_builds) == 2
+        assert [r["cached"] for r in responses + others] == [False, True, True, True, False, True]
+        for answers, solved in ((responses, request), (others, other)):
+            expected = json.dumps(api.solve(solved).to_dict(), sort_keys=True)
+            assert {json.dumps(r["result"], sort_keys=True) for r in answers} == {expected}
+
+    def test_seedless_generator_is_rebuilt_and_never_answered_from_another_draw(
+        self, server, dag_builds
+    ):
+        from repro.portfolio.features import instance_signature
+
+        request = SolveRequest(
+            spec=ProblemSpec(dag=DagSpec.generator("spmv", n=8, q=0.3), machine=self.MACHINE),
+            scheduler="etf",
+        )
+        responses = _serve_raw(server.address, [request] * 3)
+        assert len(dag_builds) == 3
+        machine = self.MACHINE.build()
+        seen = set()
+        for dag, response in zip(dag_builds, responses):
+            # Each answer is the solve of that request's own draw; it may
+            # only come from the cache when an earlier draw was identical.
+            own = SolveRequest(spec=ProblemSpec.from_instance(dag, machine), scheduler="etf")
+            assert response["result"] == api.solve(own).to_dict()
+            signature = instance_signature(dag, machine)
+            assert response["cached"] == (signature in seen)
+            seen.add(signature)
+
+    def test_rewritten_hyperdag_file_is_answered_for_the_new_file(self, server, tmp_path):
+        from repro.graphs.fine import spmv_dag
+        from repro.graphs.hyperdag import write_hyperdag
+
+        path = tmp_path / "problem.hdag"
+        request = SolveRequest(
+            spec=ProblemSpec(dag=DagSpec.hyperdag(path), machine=self.MACHINE), scheduler="etf"
+        )
+        answers = []
+        for seed, n in ((1, 6), (2, 9)):
+            write_hyperdag(spmv_dag(n, q=0.3, seed=seed), path)
+            (response,) = _serve_raw(server.address, [request])
+            assert response["cached"] is False
+            assert response["result"] == api.solve(request).to_dict()
+            answers.append(response["result"])
+        assert answers[0]["num_nodes"] != answers[1]["num_nodes"]
+
+    def test_hits_never_decode_the_schedule(self, tmp_path, monkeypatch):
+        import repro.experiments.persistence as persistence
+
+        decoded = []
+        decode = persistence.schedule_from_dict
+        monkeypatch.setattr(
+            persistence, "schedule_from_dict", lambda data: decoded.append(1) or decode(data)
+        )
+        requests = [request_for(seed=s) for s in range(3)]
+        config = ServeConfig(port=0, jobs=1, cache_dir=str(tmp_path / "cache"))
+        with SolveServer(config) as srv:
+            cold = _serve_raw(srv.address, requests)
+            memory = _serve_raw(srv.address, requests)
+        # A restarted daemon: an empty LRU and signature memo, so disk hits.
+        with SolveServer(config) as srv:
+            disk = _serve_raw(srv.address, requests)
+            stats = srv.pool.stats()
+        assert [r["cached"] for r in cold + memory + disk] == [False] * 3 + [True] * 6
+        assert [r["result"] for r in memory] == [r["result"] for r in disk] == [r["result"] for r in cold]
+        assert stats["cache"]["hits"] == 3 and stats["cache"]["stores"] == 0
+        assert decoded == []
+
+    def test_memo_under_concurrent_workers(self, tmp_path):
+        import sys
+
+        from repro.portfolio.cache import SolutionCache
+        from repro.portfolio.features import instance_signature
+
+        requests = [request_for(seed=s) for s in range(6)]
+        expected = [api.solve(r).to_dict() for r in requests]
+        pool = WorkerPool(jobs=4, queue_size=128, cache=SolutionCache(tmp_path))
+        pool.SIGNATURE_MEMO = 3  # smaller than the problem set: evictions race lookups
+        tickets = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            pool.start()
+            for k in range(96):
+                sent = []
+                ticket = Ticket(requests[k % 6], rid=k, send=sent.append)
+                assert pool.submit(ticket) == "ok"
+                tickets.append((k % 6, ticket, sent))
+            for _, ticket, _ in tickets:
+                assert ticket.done.wait(60.0)
+        finally:
+            pool.drain(timeout=30.0)
+            sys.setswitchinterval(interval)
+        for problem, _, sent in tickets:
+            assert sent[0]["ok"] and sent[0]["result"] == expected[problem]
+        assert len(pool._signatures) <= 3
+        signatures = {
+            pool._problem_key(r): instance_signature(r.spec.build_dag(), r.spec.build_machine())
+            for r in requests
+        }
+        assert all(signatures[key] == sig for key, sig in pool._signatures.items())

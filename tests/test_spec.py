@@ -2,10 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.graphs.dag import ComputationalDAG
 from repro.graphs.fine import spmv_dag
 from repro.model.machine import BspMachine
 from repro.spec import (
@@ -160,6 +162,64 @@ class TestBuild:
         spec = ProblemSpec.from_instance(dag, machine)
         assert spec.build_dag().edges == dag.edges
         assert spec.build_machine().P == 2
+
+    def test_from_dag_matches_per_element_conversion(self):
+        base = spmv_dag(6, q=0.4, seed=2)
+        work = np.asarray(base.work)
+        dag = ComputationalDAG(
+            base.n, list(base.edges), work=work, comm=np.asarray(base.comm),
+            name=base.name, memory=work * 3 + 1,
+        )
+        # The inline payload as the per-element conversion wrote it.
+        expected = {
+            "source": "inline",
+            "n": int(dag.n),
+            "edges": [[int(u), int(v)] for u, v in dag.edges],
+            "work": [int(w) for w in np.asarray(dag.work)],
+            "comm": [int(c) for c in np.asarray(dag.comm)],
+            "memory": [int(m) for m in np.asarray(dag.memory)],
+            "name": dag.name,
+        }
+        spec = DagSpec.from_dag(dag)
+        assert json.dumps(spec.to_dict(), sort_keys=True) == json.dumps(expected, sort_keys=True)
+        assert "memory" not in DagSpec.from_dag(base).to_dict()
+
+    def test_inline_values_are_normalized_to_ints(self):
+        spec = DagSpec(source="inline", n=2, edges=[[0, 1.0]], work=[1.7, 2], comm=(np.int64(3), 1))
+        assert spec.edges == ((0, 1),)
+        assert spec.work == (1, 2)
+        assert spec.comm == (3, 1)
+        assert all(type(x) is int for x in spec.edges[0] + spec.work + spec.comm)
+
+
+class TestPurity:
+    @pytest.mark.parametrize(
+        "spec, pure",
+        [
+            (DagSpec(source="inline", n=2, edges=((0, 1),)), True),
+            (DagSpec.generator("pagerank", iterations=3), True),
+            (DagSpec.generator("kmeans"), True),
+            (DagSpec.generator("spmv", n=6, q=0.3, seed=4), True),
+            (DagSpec.generator("knn", n=6, q=0.3, k=2, seed=0), True),
+            (DagSpec.generator("spmv", n=6, q=0.3), False),
+            (DagSpec.generator("exp", n=6, q=0.3, k=2, seed=None), False),
+            (DagSpec.generator("spmv", n=6, q=0.3, seed=True), False),
+            (DagSpec.generator("spmv", n=3, pattern=[[0], [1], [0, 2]]), True),
+            # ``cg`` names a fine and a coarse generator; build() picks the
+            # fine one, so a seedless ``cg`` is a random draw.
+            (DagSpec.generator("cg", n=6, q=0.3, k=1), False),
+            (DagSpec.generator("cg", n=6, q=0.3, k=1, seed=3), True),
+            (DagSpec.hyperdag("some/file.hdag"), False),
+            (DagSpec.generator("no-such-kind"), False),
+        ],
+    )
+    def test_pure_follows_build_dispatch(self, spec, pure):
+        assert spec.pure is pure
+
+    def test_pure_specs_build_equal_dags(self):
+        for spec in (DagSpec.generator("spmv", n=6, q=0.3, seed=4), DagSpec.generator("bicgstab")):
+            assert spec.pure
+            assert DagSpec.from_dag(spec.build()) == DagSpec.from_dag(spec.build())
 
 
 # ----------------------------------------------------------------------
