@@ -1,10 +1,10 @@
 """Command-line interface: ``python -m repro``.
 
-Seventeen subcommands cover the workflows a downstream user needs most
+Sixteen subcommands cover the workflows a downstream user needs most
 often — one-shot solving (``schedule``, ``batch``), the persistent solve
 service (``serve``, ``submit``), the distributed queue runner (``enqueue``,
-``worker``, ``collect``), solution-cache operations (``cache-stats``,
-``cache-gc``), portfolio/registry introspection (``portfolio-explain``,
+``worker``, ``collect``), solution-cache telemetry (``cache-stats``),
+portfolio/registry introspection (``portfolio-explain``,
 ``list-schedulers``), instance tooling (``repro``, ``generate``, ``info``),
 observability (``metrics``, ``trace-view``; the solving commands also take
 ``--trace FILE``), and the repo's own static analysis (``check``):
@@ -62,14 +62,6 @@ observability (``metrics``, ``trace-view``; the solving commands also take
     Telemetry of a solution cache directory (entries, bytes, shards, LRU
     occupancy, per-session hit/miss counters) — or, with ``--addr``, the
     live counters of a running daemon's shared cache.
-
-``cache-gc``
-    Size-bounded eviction of a solution cache directory: delete the
-    least-recently-used entries (per-shard access journals provide the
-    ordering) until the directory fits ``--max-bytes`` / ``--max-entries``;
-    ``--dry-run`` previews.  The same eviction runs automatically on every
-    store of a cache constructed with budgets (or with
-    ``REPRO_CACHE_MAX_BYTES`` / ``REPRO_CACHE_MAX_ENTRIES`` set).
 
 ``portfolio-explain``
     Show what the portfolio subsystem sees for an instance: the extracted
@@ -129,7 +121,6 @@ Examples::
     python -m repro submit requests.jsonl --addr 127.0.0.1:7464 --out results.jsonl
     python -m repro cache-stats --cache-dir .cache
     python -m repro cache-stats --addr 127.0.0.1:7464
-    python -m repro cache-gc --cache-dir .cache --max-bytes 67108864
     python -m repro enqueue requests.jsonl --queue /shared/q --manifest batch1
     python -m repro worker /shared/q --cache-dir /shared/cache
     python -m repro collect /shared/q batch1 --wait --out results.jsonl
@@ -144,9 +135,10 @@ Examples::
 
 Each subcommand is declared exactly once, in :func:`build_parser`: its
 subparser carries its handler (``set_defaults(run=...)``), and :func:`main`
-parses, opens the ``--trace`` scope named after the command, and runs the
-handler.  ``check`` keeps only a bare entry there: its options belong to
-:mod:`repro.checks.runner`, which receives the raw arguments.
+parses, opens the ``--trace`` scope named after the command, installs
+``--cache-dir`` as the process default cache until the handler returns, and
+runs the handler.  ``check`` keeps only a bare entry there: its options
+belong to :mod:`repro.checks.runner`, which receives the raw arguments.
 
 The inventory above is doctested against the parser itself, so this
 docstring cannot drift silently when a subcommand is added::
@@ -155,7 +147,6 @@ docstring cannot drift silently when a subcommand is added::
     >>> for name in subcommands():
     ...     print(name)
     batch
-    cache-gc
     cache-stats
     check
     collect
@@ -352,12 +343,21 @@ def _add_cache_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _apply_cache_dir(args: argparse.Namespace) -> None:
-    """Install ``--cache-dir`` as the process default portfolio cache."""
-    if getattr(args, "cache_dir", None):
-        from .portfolio.cache import set_default_cache_dir
+@contextlib.contextmanager
+def _cache_dir_scope(args: argparse.Namespace) -> Iterator[None]:
+    """Install ``--cache-dir`` as the process default portfolio cache while
+    the command runs, and put the previous default back when it returns."""
+    cache_dir = getattr(args, "cache_dir", None)
+    if not cache_dir:
+        yield
+        return
+    from .portfolio.cache import set_default_cache_dir
 
-        set_default_cache_dir(args.cache_dir)
+    previous = set_default_cache_dir(cache_dir)
+    try:
+        yield
+    finally:
+        set_default_cache_dir(previous)
 
 
 def _add_trace_argument(parser: argparse.ArgumentParser) -> None:
@@ -630,33 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_cache_argument(p_cache)
 
-    # cache-gc -----------------------------------------------------------
-    p_gc = command(
-        "cache-gc",
-        _command_cache_gc,
-        "evict least-recently-used solution-cache entries down to a budget",
-    )
-    _add_cache_argument(p_gc)
-    p_gc.add_argument(
-        "--max-bytes",
-        type=int,
-        default=None,
-        metavar="N",
-        help="byte budget of the on-disk tier (default: $REPRO_CACHE_MAX_BYTES)",
-    )
-    p_gc.add_argument(
-        "--max-entries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="entry budget of the on-disk tier (default: $REPRO_CACHE_MAX_ENTRIES)",
-    )
-    p_gc.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="report what would be evicted without deleting anything",
-    )
-
     # portfolio-explain --------------------------------------------------
     p_explain = command(
         "portfolio-explain",
@@ -753,7 +726,6 @@ def _command_schedule(args: argparse.Namespace) -> int:
     from .experiments.runner import schedule_many
     from .model.inspect import describe_schedule, schedule_to_text_gantt
 
-    _apply_cache_dir(args)
     dag, machine, request = _load_problem(args)
     default_scheduler = args.scheduler
     if request is not None:
@@ -837,7 +809,6 @@ def _batch_summary(results) -> int:
 def _command_batch(args: argparse.Namespace) -> int:
     from . import api
 
-    _apply_cache_dir(args)
     requests = _load_request_file(args.requests_file)
     results = api.solve_many(
         requests,
@@ -855,9 +826,9 @@ def _command_batch(args: argparse.Namespace) -> int:
 def _command_serve(args: argparse.Namespace) -> int:
     from .serve.server import ServeConfig, SolveServer
 
-    # --cache-dir is both the daemon's shared cache and the process default,
-    # so portfolio requests solved by the workers warm the same directory.
-    _apply_cache_dir(args)
+    # --cache-dir is both the daemon's shared cache and the process default
+    # (installed by main), so portfolio requests solved by the workers warm
+    # the same directory.
     server = SolveServer(
         ServeConfig(
             host=args.host,
@@ -975,42 +946,6 @@ def _command_cache_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_cache_gc(args: argparse.Namespace) -> int:
-    from .portfolio.cache import SolutionCache, default_cache_dir
-
-    root = args.cache_dir or default_cache_dir()
-    if not root:
-        raise SystemExit(
-            "no cache directory: pass --cache-dir or set REPRO_CACHE_DIR"
-        )
-    cache = SolutionCache(root)
-    max_bytes = args.max_bytes if args.max_bytes is not None else cache.max_disk_bytes
-    max_entries = (
-        args.max_entries if args.max_entries is not None else cache.max_disk_entries
-    )
-    report = cache.evict(
-        max_bytes=max_bytes, max_entries=max_entries, dry_run=args.dry_run
-    )
-    budget = []
-    if max_bytes is not None:
-        budget.append(f"max-bytes={max_bytes}")
-    if max_entries is not None:
-        budget.append(f"max-entries={max_entries}")
-    mode = "dry run — would evict" if args.dry_run else "evicted"
-    print(
-        f"cache-gc {cache.root} ({', '.join(budget) if budget else 'no budget: compaction only'}):"
-    )
-    print(
-        f"  {mode} {report['evicted_entries']} entr{'y' if report['evicted_entries'] == 1 else 'ies'} "
-        f"({report['evicted_bytes']} bytes) of {report['scanned_entries']} "
-        f"({report['scanned_bytes']} bytes)"
-    )
-    print(
-        f"  remaining: {report['remaining_entries']} entries, {report['remaining_bytes']} bytes"
-    )
-    return 0
-
-
 def _command_enqueue(args: argparse.Namespace) -> int:
     from .distrib.queue import DirectoryQueue
 
@@ -1033,7 +968,6 @@ def _command_worker(args: argparse.Namespace) -> int:
     from .distrib.queue import DEFAULT_MAX_ATTEMPTS, DirectoryQueue
     from .distrib.worker import run_worker
 
-    _apply_cache_dir(args)
     queue = DirectoryQueue(args.queue_dir)
     if args.recover_claimed:
         recovered = queue.recover_claimed()
@@ -1146,7 +1080,6 @@ def _command_portfolio_explain(args: argparse.Namespace) -> int:
     from .portfolio.features import instance_signature
     from .portfolio.selector import PortfolioScheduler
 
-    _apply_cache_dir(args)
     dag, machine, _ = _load_problem(args)
     portfolio = _or_exit(make_scheduler, args.portfolio)
     if not isinstance(portfolio, PortfolioScheduler):
@@ -1242,7 +1175,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         return check_main(argv[1:])
     args = build_parser().parse_args(argv)
-    with _trace_scope(args, args.command):
+    with _trace_scope(args, args.command), _cache_dir_scope(args):
         return args.run(args)
 
 

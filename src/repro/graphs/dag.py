@@ -373,55 +373,6 @@ class ComputationalDAG:
             return 0
         return int(self.bottom_level().max())
 
-    def ancestors(self, v: int) -> Set[int]:
-        """All nodes from which ``v`` is reachable (excluding ``v``)."""
-        seen: Set[int] = set()
-        stack = list(self._parents[v])
-        while stack:
-            u = stack.pop()
-            if u in seen:
-                continue
-            seen.add(u)
-            stack.extend(self._parents[u])
-        return seen
-
-    def descendants(self, v: int) -> Set[int]:
-        """All nodes reachable from ``v`` (excluding ``v``)."""
-        seen: Set[int] = set()
-        stack = list(self._children[v])
-        while stack:
-            u = stack.pop()
-            if u in seen:
-                continue
-            seen.add(u)
-            stack.extend(self._children[u])
-        return seen
-
-    def has_path(self, u: int, v: int, *, skip_direct_edge: bool = False) -> bool:
-        """Return True if there is a directed path from ``u`` to ``v``.
-
-        With ``skip_direct_edge`` the direct edge ``(u, v)`` (if present) is
-        ignored, which is exactly the query needed to decide whether an edge
-        is contractable in the multilevel coarsening phase.
-        """
-        if u == v:
-            return True
-        stack: List[int] = []
-        for w in self._children[u]:
-            if skip_direct_edge and w == v:
-                continue
-            stack.append(w)
-        seen: Set[int] = set()
-        while stack:
-            x = stack.pop()
-            if x == v:
-                return True
-            if x in seen:
-                continue
-            seen.add(x)
-            stack.extend(self._children[x])
-        return False
-
     # ------------------------------------------------------------------
     # Derived graphs
     # ------------------------------------------------------------------
@@ -470,132 +421,6 @@ class ComputationalDAG:
         sizes = np.bincount(comp, minlength=current)
         best = int(np.argmax(sizes))
         return self.subgraph([v for v in range(self.n) if comp[v] == best])
-
-    def weakly_connected_components(self) -> List[List[int]]:
-        """All weakly connected components as lists of node ids."""
-        seen = [False] * self.n
-        comps: List[List[int]] = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            queue = deque([start])
-            seen[start] = True
-            comp = [start]
-            while queue:
-                v = queue.popleft()
-                for w in self._children[v] + self._parents[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.append(w)
-                        queue.append(w)
-            comps.append(comp)
-        return comps
-
-    def reversed_dag(self) -> "ComputationalDAG":
-        """The DAG with all edges reversed (weights unchanged)."""
-        return ComputationalDAG(
-            self.n,
-            [(v, u) for (u, v) in self.edges],
-            self.work,
-            self.comm,
-            name=f"{self.name}-rev",
-            memory=self.memory,
-        )
-
-    def relabeled(self, order: Sequence[int]) -> "ComputationalDAG":
-        """Return a copy where node ``order[i]`` becomes node ``i``."""
-        if sorted(order) != list(range(self.n)):
-            raise DagValidationError("relabeling must be a permutation of all nodes")
-        pos = {old: new for new, old in enumerate(order)}
-        edges = [(pos[u], pos[v]) for (u, v) in self.edges]
-        work = [int(self.work[v]) for v in order]
-        comm = [int(self.comm[v]) for v in order]
-        memory = [int(self.memory[v]) for v in order]
-        return ComputationalDAG(self.n, edges, work, comm, name=self.name, memory=memory)
-
-    def to_networkx(self):
-        """Export to a ``networkx.DiGraph`` with ``work``/``comm`` node attrs."""
-        import networkx as nx
-
-        g = nx.DiGraph()
-        for v in range(self.n):
-            g.add_node(
-                v,
-                work=int(self.work[v]),
-                comm=int(self.comm[v]),
-                memory=int(self.memory[v]),
-            )
-        g.add_edges_from(self.edges)
-        return g
-
-    @classmethod
-    def from_networkx(cls, g, name: str = "dag") -> "ComputationalDAG":
-        """Build from a ``networkx.DiGraph``; nodes must be 0..n-1 or are relabeled."""
-        import networkx as nx
-
-        mapping = {node: i for i, node in enumerate(sorted(g.nodes()))}
-        n = len(mapping)
-        edges = [(mapping[u], mapping[v]) for (u, v) in g.edges()]
-        work = [int(g.nodes[node].get("work", 1)) for node in sorted(g.nodes())]
-        comm = [int(g.nodes[node].get("comm", 1)) for node in sorted(g.nodes())]
-        memory = [
-            int(g.nodes[node].get("memory", g.nodes[node].get("work", 1)))
-            for node in sorted(g.nodes())
-        ]
-        return cls(n, edges, work, comm, name=name, memory=memory)
-
-    # ------------------------------------------------------------------
-    # Contraction (used by the multilevel coarsening phase)
-    # ------------------------------------------------------------------
-    def contract_edge(self, u: int, v: int) -> Tuple["ComputationalDAG", Dict[int, int]]:
-        """Contract edge ``(u, v)`` into a single node.
-
-        Work and communication weights of ``u`` and ``v`` are summed (paper
-        Appendix A.5).  The caller is responsible for only contracting edges
-        whose contraction preserves acyclicity; the constructor re-checks and
-        raises if a cycle would be created.
-
-        Returns the contracted DAG and a mapping ``old node -> new node``
-        (both ``u`` and ``v`` map to the same new node).
-        """
-        if not self.has_edge(u, v):
-            raise DagValidationError(f"({u}, {v}) is not an edge")
-        mapping: Dict[int, int] = {}
-        new_id = 0
-        for x in range(self.n):
-            if x == v:
-                continue
-            mapping[x] = new_id
-            new_id += 1
-        mapping[v] = mapping[u]
-
-        n_new = self.n - 1
-        edge_set: Set[Tuple[int, int]] = set()
-        for (a, b) in self.edges:
-            na, nb = mapping[a], mapping[b]
-            if na != nb:
-                edge_set.add((na, nb))
-        work = np.zeros(n_new, dtype=np.int64)
-        comm = np.zeros(n_new, dtype=np.int64)
-        memory = np.zeros(n_new, dtype=np.int64)
-        for x in range(self.n):
-            work[mapping[x]] += self.work[x]
-            comm[mapping[x]] += self.comm[x]
-            memory[mapping[x]] += self.memory[x]
-        dag = ComputationalDAG(
-            n_new, sorted(edge_set), work, comm, name=self.name, memory=memory
-        )
-        return dag, mapping
-
-    def is_edge_contractable(self, u: int, v: int) -> bool:
-        """True if contracting ``(u, v)`` keeps the graph acyclic.
-
-        An edge is contractable iff there is no *other* directed path from
-        ``u`` to ``v`` besides the edge itself (paper Appendix A.5).
-        """
-        if not self.has_edge(u, v):
-            return False
-        return not self.has_path(u, v, skip_direct_edge=True)
 
     # ------------------------------------------------------------------
     # Dunder helpers

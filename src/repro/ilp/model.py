@@ -156,18 +156,6 @@ class IlpModel:
         integrality = np.array([1 if b else 0 for b in self.var_integer], dtype=np.int64)
         return c, A, c_lb, c_ub, bounds_lb, bounds_ub, integrality
 
-    def constraint_violations(self, x: Sequence[float], tol: float = 1e-6) -> List[str]:
-        """List of constraints violated by an assignment (for tests/debugging)."""
-        x = np.asarray(x, dtype=np.float64)
-        violations: List[str] = []
-        for cons in self.constraints:
-            value = sum(coeff * x[i] for i, coeff in cons.coeffs.items())
-            if value < cons.lb - tol or value > cons.ub + tol:
-                violations.append(
-                    f"{cons.name or 'constraint'}: value {value} outside [{cons.lb}, {cons.ub}]"
-                )
-        return violations
-
     def objective_value(self, x: Sequence[float]) -> float:
         """Objective value of an assignment (including the constant term)."""
         x = np.asarray(x, dtype=np.float64)

@@ -66,21 +66,6 @@ class ClassicalSchedule:
         topo_pos = {v: i for i, v in enumerate(self.dag.topological_order())}
         return sorted(range(self.dag.n), key=lambda v: (self.start[v], topo_pos[v]))
 
-    def validate_processor_exclusivity(self) -> List[str]:
-        """Check that no two nodes overlap in time on the same processor."""
-        errors: List[str] = []
-        fin = self.finish
-        for p in range(self.machine.P):
-            nodes = [v for v in range(self.dag.n) if self.proc[v] == p]
-            nodes.sort(key=lambda v: self.start[v])
-            for a, b in zip(nodes, nodes[1:]):
-                if fin[a] > self.start[b] + 1e-9:
-                    errors.append(
-                        f"nodes {a} and {b} overlap on processor {p}: "
-                        f"[{self.start[a]}, {fin[a]}) vs [{self.start[b]}, {fin[b]})"
-                    )
-        return errors
-
 
 def classical_to_bsp(classical: ClassicalSchedule) -> BspSchedule:
     """Convert a classical schedule to a BSP schedule (paper Appendix A.1).

@@ -203,21 +203,6 @@ class BspMachine:
         """Largest pairwise NUMA coefficient."""
         return float(np.max(self.numa))
 
-    def with_parameters(
-        self,
-        *,
-        g: Optional[float] = None,
-        l: Optional[float] = None,
-    ) -> "BspMachine":
-        """Copy of this machine with ``g`` and/or ``l`` replaced."""
-        return BspMachine(
-            P=self.P,
-            g=self.g if g is None else g,
-            l=self.l if l is None else l,
-            numa=self.numa.copy(),
-            memory_bound=None if self.memory_bound is None else self.memory_bound.copy(),
-        )
-
     def describe(self) -> str:
         """One-line human readable summary."""
         kind = "uniform" if self.is_uniform else "NUMA"

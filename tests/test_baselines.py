@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import processor_overlaps
 from repro.baselines.cilk import CilkScheduler, simulate_work_stealing
 from repro.baselines.hdagg import HDaggScheduler
 from repro.baselines.list_schedulers import BlEstScheduler, EtfScheduler, list_schedule
@@ -58,7 +59,7 @@ class TestCilk:
         machine = BspMachine(P=2, g=1, l=1)
         classical = simulate_work_stealing(fork_join_dag, machine, seed=1)
         assert classical.makespan < fork_join_dag.total_work()
-        assert not classical.validate_processor_exclusivity()
+        assert not processor_overlaps(classical)
 
     def test_respects_precedence_in_time(self, layered_dag, machine4):
         classical = simulate_work_stealing(layered_dag, machine4, seed=0)
@@ -69,7 +70,7 @@ class TestCilk:
     def test_all_nodes_scheduled_exactly_once(self, spmv_small, machine4):
         classical = simulate_work_stealing(spmv_small, machine4, seed=3)
         assert len(classical.start) == spmv_small.n
-        assert not classical.validate_processor_exclusivity()
+        assert not processor_overlaps(classical)
 
 
 class TestListSchedulers:

@@ -72,32 +72,6 @@ def _writer_reader_storm(root: str, worker_seed: int) -> dict:
     return observed
 
 
-BUDGET_KEYS = 6  # more keys than the byte budget can hold at once
-
-
-def _budget_writer_storm(root: str, worker_seed: int, budget: int) -> dict:
-    """One process: hammer a byte-bounded cache, recording hit fidelity."""
-    cache = SolutionCache(root, max_memory_entries=2, max_disk_bytes=budget)
-    entries = [solved_entry(seed) for seed in range(BUDGET_KEYS)]
-    expected = {signature: result.to_json() for signature, _, result, _ in entries}
-    observed = {"hits": 0, "mismatches": 0, "evictions": 0}
-    for round_no in range(ROUNDS):
-        signature, spec, result, schedule = entries[
-            (round_no + worker_seed) % BUDGET_KEYS
-        ]
-        cache.put(signature, spec, None, result, schedule)
-        probe_sig, probe_spec, _, _ = entries[
-            (round_no * 3 + worker_seed) % BUDGET_KEYS
-        ]
-        entry = cache.get(probe_sig, probe_spec, None)
-        if entry is not None:
-            observed["hits"] += 1
-            if entry.result is None or entry.result.to_json() != expected[probe_sig]:
-                observed["mismatches"] += 1
-    observed["evictions"] = cache.evictions
-    return observed
-
-
 def _raw_file_scanner(root: str, _seed: int) -> dict:
     """One process: raw-read every committed entry file, flag torn JSON.
 
@@ -172,47 +146,6 @@ class TestConcurrentCacheAccess:
             assert entry.result.to_json() == result.to_json()
             assert entry.result.to_json() == solve(request_for(seed)).to_json()
             assert not entry.schedule.validation_errors()
-
-    def test_eviction_storm_respects_byte_budget(self, tmp_path):
-        """Writer storm against a byte budget: no torn entries, the budget
-        holds after a final evict, and every surviving warm hit is still
-        byte-identical to the originally stored result."""
-        # Size the budget from a real entry so roughly 3 of the 6 keys fit.
-        signature, spec, result, schedule = solved_entry(0)
-        probe = SolutionCache(str(tmp_path / "probe"))
-        entry_bytes = probe.put(signature, spec, None, result, schedule).stat().st_size
-        budget = int(entry_bytes * 3.5)
-        root = str(tmp_path / "cache")
-        with multiprocessing.Pool(4) as pool:
-            writers = [
-                pool.apply_async(_budget_writer_storm, (root, seed, budget))
-                for seed in range(3)
-            ]
-            scanner = pool.apply_async(_raw_file_scanner, (root, 0))
-            writer_stats = [w.get(timeout=300) for w in writers]
-            scan_stats = scanner.get(timeout=300)
-        assert scan_stats["torn"] == 0, "a reader observed a partially written entry"
-        for stats in writer_stats:
-            assert stats["mismatches"] == 0, "a warm hit diverged from the stored result"
-            assert stats["evictions"] > 0, "the byte budget must have forced evictions"
-        # Concurrent evictors may transiently overshoot (each recomputes from
-        # its own scan); a final single-process evict must converge on budget.
-        cache = SolutionCache(root, max_disk_bytes=budget)
-        cache.evict()
-        disk = cache.disk_stats()
-        assert 0 < disk["bytes"] <= budget
-        assert disk["entries"] >= 1
-        assert not list(cache.root.glob("*/.tmp-*")), "no temp files may survive"
-        # Every survivor still serves the exact bytes that were stored.
-        served = 0
-        for seed in range(BUDGET_KEYS):
-            signature, spec, result, _ = solved_entry(seed)
-            entry = cache.get(signature, spec, None)
-            if entry is not None:
-                assert entry.result is not None
-                assert entry.result.to_json() == result.to_json()
-                served += 1
-        assert served == disk["entries"]
 
     def test_threaded_storm_shares_one_lru(self, tmp_path):
         """Thread-level contention (the daemon's worker pool shape)."""

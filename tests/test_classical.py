@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import processor_overlaps
 from repro.graphs.dag import ComputationalDAG
 from repro.model.classical import ClassicalSchedule, classical_to_bsp
 
@@ -31,9 +32,9 @@ class TestClassicalSchedule:
     def test_processor_exclusivity_check(self, machine2):
         dag = ComputationalDAG(2, [], work=[3, 3])
         overlapping = ClassicalSchedule(dag, machine2, np.array([0, 0]), np.array([0.0, 1.0]))
-        assert overlapping.validate_processor_exclusivity()
+        assert processor_overlaps(overlapping)
         disjoint = ClassicalSchedule(dag, machine2, np.array([0, 0]), np.array([0.0, 3.0]))
-        assert not disjoint.validate_processor_exclusivity()
+        assert not processor_overlaps(disjoint)
 
     def test_wrong_length_rejected(self, diamond_dag, machine2):
         with pytest.raises(ValueError):
@@ -76,6 +77,6 @@ class TestConversionToBsp:
         for dag in all_test_dags:
             for policy in ("bl-est", "etf"):
                 classical = list_schedule(dag, machine4, policy=policy)
-                assert not classical.validate_processor_exclusivity()
+                assert not processor_overlaps(classical)
                 bsp = classical_to_bsp(classical)
                 assert bsp.is_valid(), f"{policy} conversion invalid on {dag.name}"

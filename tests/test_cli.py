@@ -154,6 +154,41 @@ class TestScheduleCommand:
             main(["schedule", str(hyperdag_file), "--scheduler", "magic"])
 
 
+class TestCacheDirScope:
+    """``--cache-dir`` is the process default cache only while its command
+    runs: in-process callers of ``main`` must not inherit it afterwards."""
+
+    @pytest.mark.parametrize("user_env", [None, "user-cache"])
+    @pytest.mark.parametrize("library_default", [None, "library-cache"])
+    def test_main_restores_the_default_cache_dir(
+        self, user_env, library_default, tmp_path, monkeypatch, capsys
+    ):
+        from repro.portfolio.cache import default_cache_dir, set_default_cache_dir
+
+        set_default_cache_dir(None)
+        if user_env is None:
+            monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / user_env))
+        if library_default is not None:
+            set_default_cache_dir(tmp_path / library_default)
+        try:
+            before = (default_cache_dir(), os.environ.get("REPRO_CACHE_DIR"))
+            code = main(
+                [
+                    "schedule", "--kind", "spmv", "--size", "6", "-P", "2",
+                    "--scheduler", "etf", "--cache-dir", str(tmp_path / "cli-cache"),
+                ]
+            )
+            assert code == 0
+            assert (default_cache_dir(), os.environ.get("REPRO_CACHE_DIR")) == before
+        finally:
+            set_default_cache_dir(None)
+        assert os.environ.get("REPRO_CACHE_DIR") == (
+            None if user_env is None else str(tmp_path / user_env)
+        )
+
+
 class TestReproCommand:
     def test_list_targets(self, capsys):
         assert main(["repro", "--list"]) == 0

@@ -9,6 +9,7 @@ from repro.experiments import tables as paper_tables
 from repro.experiments.datasets import build_dataset, build_training_set, dataset_range, fit_fine_grained
 from repro.experiments.report import Table, format_percent, geometric_mean, improvement
 from repro.experiments.runner import run_experiment
+from repro.graphs.dag import ComputationalDAG
 from repro.graphs.fine import spmv_dag
 from repro.model.machine import BspMachine
 from repro.pipeline.config import MultilevelConfig, PipelineConfig
@@ -69,7 +70,7 @@ class TestDatasets:
         lo, hi = dataset_range("tiny", "smoke")
         for dag in dags:
             assert dag.n <= hi * 3  # fitting tolerance keeps sizes in the ballpark
-            assert dag.is_edge_contractable is not None  # it is a ComputationalDAG
+            assert isinstance(dag, ComputationalDAG)
 
     def test_build_training_set(self):
         dags = build_training_set(scale="smoke")

@@ -92,7 +92,7 @@ class TestKnn:
 
     def test_is_connected(self):
         dag = knn_dag(8, k=3, q=0.3, seed=4)
-        assert len(dag.weakly_connected_components()) == 1
+        assert dag.largest_weakly_connected_component()[0].n == dag.n
 
     def test_invalid_iterations(self):
         with pytest.raises(ValueError):

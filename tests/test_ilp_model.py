@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import constraint_violations
 from repro.ilp.model import IlpModel
 
 
@@ -53,8 +54,8 @@ class TestConstraints:
         x = m.add_continuous("x")
         y = m.add_continuous("y")
         m.add_le({x: 1.0, y: 1.0}, 3.0, name="cap")
-        assert m.constraint_violations([1.0, 1.0]) == []
-        violations = m.constraint_violations([2.0, 2.0])
+        assert constraint_violations(m, [1.0, 1.0]) == []
+        violations = constraint_violations(m, [2.0, 2.0])
         assert len(violations) == 1 and "cap" in violations[0]
 
 

@@ -11,6 +11,7 @@ cheaper than what the ILP accounted for).
 
 import pytest
 
+from oracles import constraint_violations
 from repro.graphs.coarse import coarse_pagerank
 from repro.graphs.dag import ComputationalDAG
 from repro.heuristics.bspg import BspGreedyScheduler
@@ -32,7 +33,7 @@ class TestSolutionConsistency:
         form = build_bsp_ilp(dag, machine, s_first=0, s_last=3)
         result = solve(form.model, time_limit=20)
         assert result.has_solution
-        assert form.model.constraint_violations(result.values) == []
+        assert constraint_violations(form.model, result.values) == []
 
     def test_extracted_schedule_is_valid_and_objective_meaningful(self, small_instance):
         dag, machine = small_instance

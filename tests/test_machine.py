@@ -124,12 +124,6 @@ class TestQueries:
         # Coefficients from any processor: 1 (sibling), 2, 2 -> mean 5/3.
         assert m.average_coefficient() == pytest.approx(5.0 / 3.0)
 
-    def test_with_parameters(self):
-        m = BspMachine.hierarchical(P=4, delta=2, g=1, l=5)
-        m2 = m.with_parameters(g=7)
-        assert m2.g == 7 and m2.l == 5 and m2.P == 4
-        assert np.array_equal(m2.numa, m.numa)
-
     def test_describe_mentions_kind(self):
         assert "uniform" in BspMachine(P=2).describe()
         assert "NUMA" in BspMachine.hierarchical(P=4, delta=2).describe()

@@ -67,10 +67,6 @@ class TestMachineMemoryBound:
         assert not bounded.without_memory_bound().has_memory_bounds
         assert bounded.g == machine.g and bounded.l == machine.l
 
-    def test_with_parameters_keeps_bound(self):
-        bounded = BspMachine(P=2, memory_bound=6).with_parameters(g=9)
-        assert bounded.memory_bounds.tolist() == [6.0, 6.0]
-
     def test_describe_mentions_bound(self):
         assert "mem<=6" in BspMachine(P=2, memory_bound=6).describe()
 
