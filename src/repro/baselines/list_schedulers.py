@@ -17,27 +17,42 @@ effects are present — the baselines are deliberately not NUMA-aware).
 Both produce classical time-based schedules that are converted to BSP
 supersteps with :func:`repro.model.classical.classical_to_bsp`.
 
-The EST inner loop is batched: a ready node's per-processor *arrival* vector
-(the EST contribution of its predecessors) is fixed the moment the node
-becomes ready — every predecessor is already placed — so it is computed once
-into a dense ``(ready, P)`` pool, and a row's ESTs are one
-``np.maximum(arrival, proc_ready)``.
+A ready node's *arrival* row (the EST contribution of its predecessors on
+each processor) is fixed the moment the node becomes ready, and it has a
+closed form.  Let ``b(u) = finish(u) + delay * c(u)``, ``B = max b(u)`` and
+``q`` the processor of a parent attaining ``B``.  Weights, ``g`` and the
+NUMA coefficients are non-negative, so ``b(u) >= finish(u)``: a processor
+other than ``q`` receives the attaining parent's data by ``B`` and all other
+data no later, so its arrival is exactly ``B``.  Only ``q`` can differ: its
+arrival ``a`` is the larger of the latest finish on ``q`` and the largest
+``b(u)`` off ``q`` (which is ``B`` again when ``B`` is attained on a second
+processor, so a tie makes the row ``B`` throughout).  A row is thus two
+Python passes over the parents, kept as ``(B, q, a)``; a processor's EST is
+the larger of its arrival and its ready time.
 
-ETF caches, per ready slot, the row's minimum EST over the memory-feasible
-processors (``inf`` when none has room) and the first processor reaching it.
-A placement on ``best_p`` changes only column ``best_p`` (its ``proc_ready``
-grows, its remaining memory shrinks), so only rows whose cached processor is
-``best_p`` can be stale, and only those and the newly ready rows are
-recomputed.  The smallest cached minimum, then the larger bottom level, then
-the smaller node id, on the cached processor, is the ``(EST, -bottom level,
-node, processor)`` order of a scan of the whole table.
+BL-EST keeps the ready pool in a heap of ranks in the ``(-bottom level,
+node)`` order, so each selection is one pop.
+
+ETF keeps the rows in a dense ``(ready, P)`` table and caches, per ready
+slot, the row's minimum EST over the memory-feasible processors and the
+first processor reaching it (a row with no feasible processor fails the
+run).  A placement on
+``best_p`` changes only column ``best_p`` (its ready time grows, its
+remaining memory shrinks), so only rows whose cached processor is
+``best_p`` can be stale; new rows are filed under ``best_p`` too, and one
+vectorized pass recomputes exactly those.  The smallest cached minimum,
+then the smaller rank, on the cached processor, is the ``(EST, -bottom
+level, node, processor)`` order of a scan of the whole table.
 
 Selection keys are total orders evaluated with exact float comparisons, so
-the vectorized scheduler is tie-for-tie identical to the straight-line
-reference loop kept in ``tests/test_list_scheduler_equivalence.py``.
+the scheduler is tie-for-tie identical to the straight-line reference loop
+kept in ``tests/test_list_scheduler_equivalence.py``.
 """
 
 from __future__ import annotations
+
+from heapq import heappop, heappush
+from typing import List, Tuple
 
 import numpy as np
 
@@ -101,95 +116,62 @@ def list_schedule(
         raise ValueError("policy must be 'bl-est' or 'etf'")
     n = dag.n
     P = machine.P
-    proc = np.zeros(n, dtype=np.int64)
-    start = np.zeros(n, dtype=np.float64)
-    if n == 0:
-        return ClassicalSchedule(dag, machine, proc, start)
 
     bounds = machine.memory_bounds if respect_memory else None
     remaining = bounds.astype(np.float64).copy() if bounds is not None else None
     memory = np.asarray(dag.memory, dtype=np.float64)
 
-    delay = _comm_delay_factor(machine)
-    bottom = dag.bottom_level()
-    finish = np.zeros(n, dtype=np.float64)
+    # rank[v] is v's place in the (-bottom level, node) order.
+    order = np.lexsort((np.arange(n), -dag.bottom_level()))
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    order_list = order.tolist()
+    rank_list = rank.tolist()
+    work = np.asarray(dag.work, dtype=np.float64).tolist()
+    cost = (_comm_delay_factor(machine) * np.asarray(dag.comm, dtype=np.float64)).tolist()
+    parents = [dag.parents(v) for v in range(n)]
+    children = [dag.children(v) for v in range(n)]
+    remaining_parents = [len(ps) for ps in parents]
+    proc = [0] * n
+    start = [0.0] * n
+    finish = [0.0] * n
     proc_ready = np.zeros(P, dtype=np.float64)
-    remaining_parents = np.diff(dag.pred_indptr).copy()
-    comm = np.asarray(dag.comm, dtype=np.float64)
-    work = np.asarray(dag.work, dtype=np.float64)
 
-    # Ready pool: slot i of `arrival` holds the per-processor arrival vector
-    # of ready node `slot_node[i]` — max over its (already placed) parents of
-    # finish (same processor) / finish + delay * comm (cross-processor).
-    # Placement swap-removes the slot, so the live block is `arrival[:nready]`.
-    arrival = np.zeros((n, P), dtype=np.float64)
-    slot_node = np.zeros(n, dtype=np.int64)
-    nready = 0
-    # ETF only: each slot's cached EST row minimum and its first processor.
-    row_min = np.zeros(n, dtype=np.float64)
-    row_arg = np.zeros(n, dtype=np.int64)
+    def arrival(v: int) -> Tuple[float, int, float]:
+        """``(B, q, a)``: ``v``'s inputs reach every processor but ``q`` by
+        ``B`` and ``q`` by ``a`` (``q = -1``: all by ``B = 0``)."""
+        top = 0.0
+        q = -1
+        for u in parents[v]:
+            b = finish[u] + cost[u]
+            if b > top:
+                top = b
+                q = proc[u]
+        a = 0.0
+        for u in parents[v]:
+            t = finish[u] if proc[u] == q else finish[u] + cost[u]
+            if t > a:
+                a = t
+        return top, q, a
 
-    def push_ready(v: int) -> None:
-        nonlocal nready
-        parents = dag.predecessors_array(v)
-        row = arrival[nready]
-        if parents.size == 0:
-            row[:] = 0.0
-        else:
-            f = finish[parents]
-            base = f + delay * comm[parents]
-            row[:] = base.max()
-            pp = proc[parents]
-            # A processor hosting parents gets their bare finish times; the
-            # cross-processor max must then exclude those parents' base terms.
-            for p in sorted(set(pp.tolist())):
-                on = pp == p
-                m = float(f[on].max())
-                off = base[~on]
-                if off.size:
-                    m = max(m, float(off.max()))
-                row[p] = m
-        slot_node[nready] = v
-        nready += 1
+    if policy == "bl-est":
+        heap: List[int] = []
+        rows: List[Tuple[float, int, float]] = [(0.0, -1, 0.0)] * n
 
-    def pop_ready(i: int) -> None:
-        nonlocal nready
-        last = nready - 1
-        if i != last:
-            arrival[i] = arrival[last]
-            slot_node[i] = slot_node[last]
-            row_min[i] = row_min[last]
-            row_arg[i] = row_arg[last]
-        nready -= 1
+        def push_ready(v: int) -> None:
+            rows[v] = arrival(v)
+            heappush(heap, rank_list[v])
 
-    def refresh_rows(rows: np.ndarray) -> None:
-        """Recompute the cached EST minimum and first argmin of ETF slots."""
-        table = np.maximum(arrival[rows], proc_ready)
-        if remaining is not None:
-            fits = memory[slot_node[rows]][:, None] <= (remaining + _EPS)[None, :]
-            table = np.where(fits, table, np.inf)
-        arg = np.argmin(table, axis=1)
-        row_arg[rows] = arg
-        row_min[rows] = table[np.arange(rows.size), arg]
-
-    for v in np.nonzero(remaining_parents == 0)[0].tolist():
-        push_ready(v)
-    if policy == "etf":
-        refresh_rows(np.arange(nready))
-
-    for _ in range(n):
-        if nready == 0:
-            raise RuntimeError("list scheduler ran out of ready nodes prematurely")
-        nodes = slot_node[:nready]
-        if policy == "bl-est":
-            # Highest bottom level first; break ties by node id for determinism.
-            b = bottom[nodes]
-            tie = np.nonzero(b == b.max())[0]
-            i = int(tie[np.argmin(nodes[tie])])
-            v = int(slot_node[i])
-            row = np.maximum(arrival[i], proc_ready)
+        def select() -> Tuple[int, int, float]:
+            if not heap:
+                raise RuntimeError("list scheduler ran out of ready nodes prematurely")
+            v = order_list[heappop(heap)]
+            top, q, a = rows[v]
+            est = np.maximum(proc_ready, top)
+            if q >= 0:
+                est[q] = max(a, proc_ready[q])
             if remaining is None:
-                best_p = int(np.argmin(row))
+                best_p = int(est.argmin())
             else:
                 fit_row = memory[v] <= remaining + _EPS
                 if not fit_row.any():
@@ -197,42 +179,91 @@ def list_schedule(
                 if prefer_memory_balance:
                     head = np.where(fit_row, remaining, -np.inf)
                     fit_row = fit_row & (remaining == head.max())
-                best_p = int(np.argmin(np.where(fit_row, row, np.inf)))
-            best_t = float(row[best_p])
-        else:  # ETF: smallest (EST, -bottom level, node, processor) pair.
+                best_p = int(np.where(fit_row, est, np.inf).argmin())
+            return v, best_p, float(est[best_p])
+
+        def refresh() -> None:
+            pass
+
+    else:
+        # Slot i of `table` holds the arrival row of ready node
+        # `slot_node[i]`; `row_min[i]`/`row_arg[i]` cache its EST minimum
+        # and first argmin.  Placement swap-removes the slot, so the live
+        # block is `table[:nready]`.
+        table = np.zeros((n, P), dtype=np.float64)
+        slot_node = np.zeros(n, dtype=np.int64)
+        slot_rank = np.zeros(n, dtype=np.int64)
+        row_min = np.zeros(n, dtype=np.float64)
+        row_arg = np.zeros(n, dtype=np.int64)
+        nready = 0
+        moved = 0  # the column the last placement changed
+
+        def push_ready(v: int) -> None:
+            nonlocal nready
+            top, q, a = arrival(v)
+            table[nready] = top
+            if q >= 0:
+                table[nready, q] = a
+            slot_node[nready] = v
+            slot_rank[nready] = rank_list[v]
+            row_arg[nready] = moved  # no cached minimum yet: stale
+            nready += 1
+
+        def select() -> Tuple[int, int, float]:
+            nonlocal nready, moved
+            if nready == 0:
+                raise RuntimeError("list scheduler ran out of ready nodes prematurely")
             mins = row_min[:nready]
-            if remaining is not None:
-                lacking = np.isinf(mins)
-                if lacking.any():
-                    bad = int(nodes[lacking].min())
-                    raise _no_memory_fit(bad, memory[bad], remaining)
-            best_t = float(mins.min())
-            tie = np.nonzero(mins == best_t)[0]
-            if tie.size > 1:
-                b = bottom[nodes[tie]]
-                tie = tie[b == b.max()]
-            i = int(tie[np.argmin(nodes[tie])])
+            i = int(np.where(mins == mins.min(), slot_rank[:nready], n).argmin())
             v = int(slot_node[i])
-            best_p = int(row_arg[i])
-        pop_ready(i)
+            moved = int(row_arg[i])
+            best_t = float(row_min[i])
+            nready -= 1
+            if i != nready:
+                table[i] = table[nready]
+                slot_node[i] = slot_node[nready]
+                slot_rank[i] = slot_rank[nready]
+                row_min[i] = row_min[nready]
+                row_arg[i] = row_arg[nready]
+            return v, moved, best_t
+
+        def refresh() -> None:
+            """Recompute the cached minimum of every row filed under ``moved``."""
+            stale = (row_arg[:nready] == moved).nonzero()[0]
+            if stale.size == 0:
+                return
+            est = np.maximum(table[stale], proc_ready)
+            if remaining is not None:
+                fits = memory[slot_node[stale]][:, None] <= (remaining + _EPS)[None, :]
+                est = np.where(fits, est, np.inf)
+            row_arg[stale] = est.argmin(axis=1)
+            low = est.min(axis=1)
+            row_min[stale] = low
+            if remaining is not None and low.max() == np.inf:
+                bad = int(slot_node[stale][low == np.inf].min())
+                raise _no_memory_fit(bad, memory[bad], remaining)
+
+    for v in range(n):
+        if remaining_parents[v] == 0:
+            push_ready(v)
+    refresh()
+    for _ in range(n):
+        v, best_p, best_t = select()
         proc[v] = best_p
         start[v] = best_t
-        finish[v] = best_t + float(work[v])
+        finish[v] = best_t + work[v]
         proc_ready[best_p] = finish[v]
         if remaining is not None:
             remaining[best_p] -= memory[v]
-        settled = nready
-        for child in dag.children(v):
+        for child in children[v]:
             remaining_parents[child] -= 1
             if remaining_parents[child] == 0:
                 push_ready(child)
-        if policy == "etf":
-            # Only column best_p moved, so only rows whose first minimum
-            # sat there are stale; new slots have no cached minimum yet.
-            stale = np.nonzero(row_arg[:settled] == best_p)[0]
-            refresh_rows(np.concatenate((stale, np.arange(settled, nready))))
+        refresh()
 
-    return ClassicalSchedule(dag, machine, proc, start)
+    return ClassicalSchedule(
+        dag, machine, np.array(proc, dtype=np.int64), np.array(start, dtype=np.float64)
+    )
 
 
 class BlEstScheduler(Scheduler):
